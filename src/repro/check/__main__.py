@@ -120,6 +120,10 @@ def _parser() -> argparse.ArgumentParser:
              "1 = serial)",
     )
     parser.add_argument(
+        "--no-cache", action="store_true",
+        help="skip the on-disk result cache for this invocation",
+    )
+    parser.add_argument(
         "--list", action="store_true", help="list scenarios and exit"
     )
     from repro.fleet.cli import add_fleet_args
@@ -135,6 +139,8 @@ def _engine(args):
     engine = RunEngine.from_env()
     if args.jobs is not None:
         engine = RunEngine(jobs=max(1, args.jobs), cache=engine.cache)
+    if args.no_cache:
+        engine = RunEngine(jobs=engine.jobs, cache=None)
     fleet = resolve_fleet_engine(args, engine.cache)
     return fleet if fleet is not None else engine
 

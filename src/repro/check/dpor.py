@@ -69,7 +69,11 @@ from repro.check.explorer import (
     run_check_cell,
     summarize_results,
 )
-from repro.check.scenarios import CheckScenario, get_scenario
+from repro.check.scenarios import (
+    CheckScenario,
+    get_scenario,
+    scenario_workload,
+)
 from repro.errors import (
     DeadlockError,
     StarvationError,
@@ -233,7 +237,7 @@ class SteppingRun:
             **overrides,
         )
         vm = JVM(options)
-        scenario.build().install(vm)
+        scenario_workload(scenario).install(vm)
         self._adopt(vm, schedule=(), candidates=())
         vm.begin_run()
 

@@ -37,6 +37,7 @@ default policy for that decision and counts *drift* — the embodiment of
 
 from __future__ import annotations
 
+import sys
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterator, Optional
@@ -47,7 +48,11 @@ from repro.check.oracle import (
     final_fingerprint,
     fingerprint_digest,
 )
-from repro.check.scenarios import CheckScenario, get_scenario
+from repro.check.scenarios import (
+    CheckScenario,
+    get_scenario,
+    scenario_workload,
+)
 from repro.errors import (
     DeadlockError,
     StarvationError,
@@ -178,7 +183,7 @@ def run_schedule(
         **scenario.options,
     )
     vm = JVM(options)
-    scenario.build().install(vm)
+    scenario_workload(scenario).install(vm)
     vm.scheduler.decision_hook = controller
     outcome = "completed"
     try:
@@ -206,6 +211,37 @@ class CheckItem:
     walk_bound: Optional[int] = None
 
 
+#: shared parts of cell records (see :func:`_shared`)
+_SHARED: dict = {}
+#: :data:`_SHARED` starts over past this many entries
+_SHARED_CAP = 4096
+
+
+def _shared(value):
+    """One instance per distinct tuple, or per dict with equal items.
+
+    An exploration keeps every cell record, and the records repeat the
+    same few ready sets, outcome maps and digest maps thousands of
+    times; sharing them cuts what a search retains several-fold
+    (EXPERIMENTS.md, "Translation cache").  Records are
+    read-only once returned, so the sharing cannot be observed, and
+    their JSON (hence every digest and golden) is unchanged."""
+    key = (
+        (dict, tuple(value.items())) if type(value) is dict else value
+    )
+    found = _SHARED.get(key)
+    if found is None:
+        if len(_SHARED) >= _SHARED_CAP:
+            _SHARED.clear()
+        found = _SHARED[key] = value
+    return found
+
+
+def _state_digest(vm: JVM, outcome: str) -> str:
+    """Interned final-state digest (cells mostly repeat a few states)."""
+    return sys.intern(fingerprint_digest(final_fingerprint(vm, outcome)))
+
+
 def run_check_cell(item: CheckItem) -> dict:
     """Execute one schedule under every policy; return plain report data."""
     scenario = get_scenario(item.scenario)
@@ -222,9 +258,7 @@ def run_check_cell(item: CheckItem) -> dict:
         scenario, reference, ref_ctrl, inject=item.inject
     )
     outcomes = {reference: outcome}
-    digests = {
-        reference: fingerprint_digest(final_fingerprint(vm, outcome))
-    }
+    digests = {reference: _state_digest(vm, outcome)}
     drift = {reference: ref_ctrl.drift}
     expectation_problems = (
         check_expectations(scenario, vm) if outcome == "completed" else []
@@ -235,20 +269,18 @@ def run_check_cell(item: CheckItem) -> dict:
             scenario, mode, ctrl, inject=item.inject
         )
         outcomes[mode] = outcome2
-        digests[mode] = fingerprint_digest(
-            final_fingerprint(vm2, outcome2)
-        )
+        digests[mode] = _state_digest(vm2, outcome2)
         drift[mode] = ctrl.drift
     return {
-        "schedule": list(ref_ctrl.schedule),
-        "candidates": [list(tids) for tids, _ in ref_ctrl.trace],
+        "schedule": ref_ctrl.schedule,
+        "candidates": tuple(_shared(tids) for tids, _ in ref_ctrl.trace),
         "preemptions": ref_ctrl.preemptions,
-        "outcomes": outcomes,
-        "digests": digests,
-        "drift": drift,
-        "problems": divergence_problems(
+        "outcomes": _shared(outcomes),
+        "digests": _shared(digests),
+        "drift": _shared(drift),
+        "problems": tuple(divergence_problems(
             item.modes, outcomes, digests, expectation_problems
-        ),
+        )),
     }
 
 

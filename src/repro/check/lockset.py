@@ -190,7 +190,7 @@ def _lockset_vm(options, build_and_install) -> dict:
 def run_lockset_scenario(name: str, *, mode: str = "rollback") -> dict:
     """Lockset pass over one check scenario's default-policy execution."""
     from repro.check.explorer import CHECK_CYCLE_CAP, CHECK_VM_SEED
-    from repro.check.scenarios import get_scenario
+    from repro.check.scenarios import get_scenario, scenario_workload
     from repro.vm.vmcore import VMOptions
 
     scenario = get_scenario(name)
@@ -202,7 +202,9 @@ def run_lockset_scenario(name: str, *, mode: str = "rollback") -> dict:
         max_cycles=CHECK_CYCLE_CAP,
         **scenario.options,
     )
-    return _lockset_vm(options, lambda vm: scenario.build().install(vm))
+    return _lockset_vm(
+        options, lambda vm: scenario_workload(scenario).install(vm)
+    )
 
 
 def run_lockset_fig5(*, mode: str = "rollback") -> dict:

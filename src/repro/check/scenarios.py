@@ -340,6 +340,25 @@ def scenarios() -> dict[str, CheckScenario]:
     return {s.name: s for s in _scenario_list()}
 
 
+#: scenario name -> its built Workload (see :func:`scenario_workload`)
+_BUILT: dict[str, Workload] = {}
+
+
+def scenario_workload(scenario: CheckScenario) -> Workload:
+    """``scenario``'s guest program, built once per process.
+
+    A check run loads the same program into thousands of fresh VMs.
+    ``JVM.load`` copies the ClassDef before transforming and linking it,
+    and ``JVM.spawn`` copies the argument lists, so one built Workload
+    serves every VM.  The cache is keyed by scenario name, the identity
+    check cells are cached under too (:func:`repro.check.explorer.
+    check_cell_key`)."""
+    workload = _BUILT.get(scenario.name)
+    if workload is None:
+        workload = _BUILT[scenario.name] = scenario.build()
+    return workload
+
+
 def get_scenario(name: str) -> CheckScenario:
     try:
         return scenarios()[name]

@@ -23,9 +23,12 @@ What a snapshot deliberately does **not** capture:
   host-side analyses whose state is not part of the VM; callers reinstall
   what they need on the restored VM.  (The cycle profiler *is* VM state:
   it is carried across and re-wired as the clock listener on restore.)
-* **Predecode caches** — the fast interpreter's compiled basic blocks
-  are host-side closures bound to one VM's runtime; they are dropped on
-  both sides and rebuilt deterministically on next execution, which is
+* **Predecode results** — the fast interpreter's basic blocks are
+  host-side closures bound to one VM's runtime; they are dropped on
+  both sides.  On next execution each method re-binds its translation
+  template from the process-wide cache (:mod:`repro.vm.predecode`): a
+  fresh namespace and fresh inline-cache cells around the already
+  compiled code, no code generation or ``compile``.  This is
   observably free (virtual costs were assigned at link time).
 
 Snapshots are copy-on-capture: the master copy inside a
@@ -72,7 +75,7 @@ class VMSnapshot:
 
 
 def _drop_decoded(vm: "JVM") -> None:
-    """Invalidate every method's predecode cache (host-side closures)."""
+    """Drop every method's predecode result (host-side closures)."""
     for classdef in vm.classes.values():
         for method in classdef.methods.values():
             method.invalidate_decoded()

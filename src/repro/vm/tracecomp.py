@@ -47,8 +47,13 @@ constant for the duration of the run:
 Inside the generated function each iteration charges the back-edge and
 the executed body exactly as the reference interpreter would, then
 *commits* the iteration — ``dn += acc; de += 1`` — and re-evaluates the
-hoisted checks against literals baked at compile time (quantum,
-max_cycles).  On any exit the accumulated cycles and flush-event count
+hoisted checks against the VM's quantum and cycle cap.  Those two are
+not baked into the source: they are the namespace bindings ``QU`` and
+``MAXC`` of the VM the template is bound to (see
+:mod:`repro.vm.predecode`), read into locals once per call, so VMs that
+differ only in quantum or cap share one translation.  Whether a cap is
+set at all *is* part of the translation (the test is omitted without
+one).  On any exit the accumulated cycles and flush-event count
 are folded into the clock in one :meth:`Clock.commit_batch` call plus
 the three thread mirrors, which is byte-identical (clock value *and*
 event count) to the per-iteration flushes the reference performs.
@@ -145,15 +150,15 @@ class _SuperCompiler:
         self.head = head
         self.anchor = anchor
         self.em = _Emitter(pre, "super")
-        vm = pre.vm
-        self.quantum = vm.options.cost_model.quantum
-        self.max_cycles = vm.options.max_cycles
 
     # ------------------------------------------------------------ framework
     def compile(self) -> SuperBlock:
         em = self.em
         em.emit("n0 = CLK.now")
         em.emit("qu = T.quantum_used")
+        em.emit("quantum = QU")
+        if self.pre.bounded:
+            em.emit("cap = MAXC")
         em.emit("dn = 0")
         em.emit("de = 0")
         em.emit("di = 0")
@@ -173,13 +178,13 @@ class _SuperCompiler:
         em.emit("dn += acc")
         em.emit("de += 1")
         em.emit("di += ic")
-        if self.max_cycles:
-            em.emit(f"if n0 + dn > {self.max_cycles}:")
+        if self.pre.bounded:
+            em.emit("if n0 + dn > cap:")
             em.indent += 1
             self._writeback()
-            em.emit(f"raise SERR({self.max_cycles})")
+            em.emit("raise SERR(cap)")
             em.indent -= 1
-        em.emit(f"if qu + dn >= {self.quantum} or PW <= n0 + dn:")
+        em.emit("if qu + dn >= quantum or PW <= n0 + dn:")
         em.indent += 1
         self._writeback()
         em.emit("A[0] = 0")

@@ -125,6 +125,26 @@ class TestCliContract:
         fanned = capsys.readouterr().out
         assert serial == fanned
 
+    def test_no_cache_keeps_stdout_and_stores_nothing(
+        self, tmp_path, capsys
+    ):
+        """``--no-cache``, as on bench/server/obs/fleet: the same bytes
+        on stdout as a cold and a warm cached run, and no cache entry
+        written."""
+        argv = ["--scenario", "handoff", "--bound", "1", "--jobs", "1"]
+        entries = lambda: list(  # noqa: E731
+            (tmp_path / "bench-cache").rglob("*.pkl")
+        )
+        assert main(argv + ["--no-cache"]) == 0
+        uncached = capsys.readouterr().out
+        assert entries() == []
+        main(argv)
+        cold = capsys.readouterr().out
+        assert entries()
+        main(argv)
+        warm = capsys.readouterr().out
+        assert uncached == cold == warm
+
 
 class TestStrategyCliContract:
     """The ``--strategy`` surface: every strategy reports its search

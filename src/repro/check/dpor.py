@@ -38,7 +38,8 @@ Three design points anchor soundness:
   back synchronized section.
 
 Exploration itself runs the reference policy with memory tracing (which
-forces the reference interpreter); the complete schedules it emits are
+forces the untranslated block table, so every heap access runs through
+the dispatch chain and emits its event); the complete schedules it emits are
 then farmed through :func:`repro.check.explorer.run_check_cell` exactly
 like exhaustive cells — same differential oracle, same counterexample /
 ddmin / replay pipeline, same content-addressed cache, byte-identical
@@ -209,8 +210,8 @@ class SteppingRun:
     an independent continuation positioned at the same decision.
 
     Runs use the exact :func:`repro.check.explorer.run_schedule` VM
-    configuration plus tracing (memory tracing forces the reference
-    interpreter — exploration needs per-location events), so a schedule
+    configuration plus tracing (memory tracing forces the untranslated
+    block table — exploration needs per-location events), so a schedule
     found here replays identically through the normal cell pipeline.
     """
 

@@ -204,12 +204,12 @@ def is_backward_branch(ins: "Instruction", pc: int) -> bool:
 
 
 # --- predecode classification ------------------------------------------------
-# The fast interpreter (repro.vm.predecode / repro.vm.fastinterp) fuses
-# straight-line runs of these opcodes into compiled basic-block
+# Predecode (repro.vm.predecode, the block-table source of interp="fast")
+# fuses straight-line runs of these opcodes into compiled basic-block
 # superinstructions.  An opcode is fusable only when executing it can never
 # flush the virtual clock, park or switch the thread, or emit a trace event:
 # those interactions must keep happening at the exact program points the
-# reference interpreter uses, or clock/trace parity breaks.
+# dispatch chain (repro.vm.interpreter) uses, or clock/trace parity breaks.
 
 #: Pure operand-stack/local ops: no VM interaction, cannot raise guest errors.
 FUSABLE_PURE = frozenset({

@@ -118,7 +118,7 @@ class MethodDef:
     def invalidate_decoded(self) -> None:
         """Drop the cached predecode result.
 
-        The fast interpreter (:mod:`repro.vm.predecode`) caches its
+        Predecode (:mod:`repro.vm.predecode`, ``interp="fast"``) caches its
         compiled basic blocks on the MethodDef at first execution; call
         this after any in-place mutation of ``code`` so stale blocks can
         never execute.  ``copy()`` never carries the cache.

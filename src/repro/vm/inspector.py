@@ -190,9 +190,9 @@ class Inspector:
         batched costs, superinstruction counts, and the generated Python
         source of each block (see :mod:`repro.vm.predecode`).
 
-        Predecodes on demand, so it works regardless of whether the fast
-        interpreter has executed the method yet (and under the reference
-        interpreter, where it shows what *would* fuse).
+        Predecodes on demand, so it works regardless of whether the
+        method has executed yet (and under ``interp="reference"``, where
+        it shows what *would* fuse).
         """
         from repro.vm.predecode import predecode_method, render_decoded
 

@@ -16,10 +16,31 @@ either restores the saved operand stack/locals and jumps back to the
 revocation target) or rethrows the signal outward.  Normal guest exception
 dispatch never matches rollback scopes, and rollback dispatch never runs
 default handlers or finally blocks.
+
+One dispatch loop, two block-table sources
+------------------------------------------
+
+:meth:`Interpreter._execute` is the VM's only dispatch loop.  Before
+decoding an instruction it consults the method's block table:
+``blocks[pc]`` is a compiled basic block starting at ``pc`` and, after a
+yield point, ``superblocks[pc]`` a compiled loop trace anchored there.
+A block runs a straight-line run in one Python call and is charged with
+two additions; a ``None`` entry sends the pc through the per-instruction
+dispatch chain.  The table source is chosen once, at construction:
+
+* ``interp="fast"`` — :func:`repro.vm.predecode.predecode_method`
+  translates each method at its first execution;
+* ``interp="reference"`` or ``trace_memory`` (see
+  ``VMOptions.effective_interp``) — a shared all-``None`` table, so every
+  pc runs through the chain.  That untranslated run is the oracle the
+  parity suite (``tests/test_interp_parity.py``) compares translated code
+  against; the invariants that keep them byte-identical are listed in
+  :mod:`repro.vm.predecode`.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Optional
 
 from repro.errors import GuestRuntimeError, ReproError, StarvationError
@@ -58,6 +79,79 @@ def _imod(a: int, b: int) -> int:
     return a - _idiv(a, b) * b
 
 
+def _fdiv(a, b):
+    """Floating-point division: IEEE results for a zero divisor."""
+    if b == 0:
+        if a == 0:
+            return math.nan
+        return math.inf if a > 0 else -math.inf
+    return a / b
+
+
+def _fmod(a, b):
+    """Floating-point remainder: NaN for a zero divisor."""
+    if b == 0:
+        return math.nan
+    return math.fmod(a, b)
+
+
+def _div_values(a, b):
+    """DIV semantics: Java integer division, else floating point."""
+    if isinstance(a, int) and isinstance(b, int):
+        if b == 0:
+            raise GuestRuntimeError(
+                "integer division by zero",
+                guest_class="ArithmeticException",
+            )
+        return _idiv(a, b)
+    return _fdiv(a, b)
+
+
+def _mod_values(a, b):
+    """MOD semantics: Java integer remainder, else floating point."""
+    if isinstance(a, int) and isinstance(b, int):
+        if b == 0:
+            raise GuestRuntimeError(
+                "integer remainder by zero",
+                guest_class="ArithmeticException",
+            )
+        return _imod(a, b)
+    return _fmod(a, b)
+
+
+# ---------------------------------------------------- block-table sources
+# A source maps ``(vm, method)`` to ``(blocks, superblocks)``, both
+# indexed by pc.
+
+def _translated(vm, method: MethodDef) -> tuple:
+    """``method``'s predecoded tables, translated at first execution and
+    cached on the (per-VM) MethodDef."""
+    dm = method.__dict__.get("_decoded")
+    if dm is None:
+        # Imported here, not at the top: predecode imports this module.
+        from repro.vm.predecode import predecode_method
+
+        dm = predecode_method(vm, method)
+    return dm.blocks, dm.superblocks
+
+
+#: code length -> the tables of untranslated code (no block and no
+#: superblock at any pc).  Process-wide and never written: VM snapshots,
+#: which deep-copy the interpreter, never copy one, and ``MethodDef`` is
+#: untouched.  Lists, like predecode's tables, so the loop's table probes
+#: see one container type whichever source a process runs.
+_UNTRANSLATED: dict[int, tuple] = {}
+
+
+def _untranslated(vm, method: MethodDef) -> tuple:
+    n = len(method.code)
+    tables = _UNTRANSLATED.get(n)
+    if tables is None:
+        empty = [None] * n
+        tables = _UNTRANSLATED[n] = (empty, empty)
+    return tables
+
+
 class Interpreter:
     """Executes guest bytecode for one :class:`repro.vm.vmcore.JVM`."""
 
@@ -72,6 +166,11 @@ class Interpreter:
         self._handoff = vm.options.direct_handoff
         #: stream mem_read/mem_write trace events (lockset analysis)
         self._trace_mem = vm.options.trace and vm.options.trace_memory
+        #: block-table source (see the module docstring)
+        self._tables = (
+            _translated if vm.options.effective_interp == "fast"
+            else _untranslated
+        )
 
     # ------------------------------------------------------------------ API
     def run_slice(self, thread: VMThread) -> str:
@@ -96,6 +195,7 @@ class Interpreter:
         clock = self.clock
         support = self.support
         scheduler = vm.scheduler
+        pending_wake = scheduler.pending_wake_time
         quantum = self.cost_model.quantum
         cm = self.cost_model
         read_barriers = self.read_barriers
@@ -103,10 +203,17 @@ class Interpreter:
         max_cycles = vm.options.max_cycles
         faults = vm.fault_plane
         profiler = vm.profiler
+        tables = self._tables
+        F = [0]  # fault cell: pc of the op a block was executing when it raised
+        # dynamic-cost cells: A[0] carries barrier cycles accrued inside a
+        # block; superblocks use both cells to hand back the partial
+        # iteration's unflushed (cycles, instructions) on a trace exit.
+        A = [0, 0]
 
         while True:  # outer loop: re-entered on frame switch / exceptions
             frame = thread.frames[-1]
             code = frame.code
+            blocks, supers = tables(vm, frame.method)
             pc = frame.pc
             stack = frame.stack
             locals_ = frame.locals
@@ -126,11 +233,45 @@ class Interpreter:
 
             try:
                 while True:
+                    # ------------------------- predecoded block dispatch
+                    b = blocks[pc]
+                    if b is not None:
+                        acc += b.cost
+                        icount += b.count
+                        try:
+                            pc = b.fn(stack, locals_, F, A, thread)
+                        except GuestRuntimeError:
+                            # repair the pre-charge: drop the cost/count of
+                            # the instructions after the faulting one, keep
+                            # any barrier cycles accrued before the fault,
+                            # and resume exception dispatch at its pc.
+                            fpc = F[0] if b.raising else b.start
+                            k = fpc - b.start
+                            acc -= b.suffix_cost[k]
+                            icount -= b.suffix_count[k]
+                            if b.dynamic:
+                                acc += A[0]
+                            pc = fpc
+                            raise
+                        if b.dynamic:
+                            acc += A[0]
+                        continue
+
                     ins = code[pc]
                     op = ins.op
 
                     if ins.ypoint:
-                        flush()
+                        # inlined flush(): this is the hottest flush site
+                        # (every loop back-edge) and closure/nonlocal
+                        # overhead is measurable here
+                        if profiler is not None and (acc or icount):
+                            profiler.on_flush(thread, frame, acc, icount)
+                        clock.advance(acc)
+                        thread.cycles_executed += acc
+                        thread.quantum_used += acc
+                        thread.instructions_executed += icount
+                        acc = 0
+                        icount = 0
                         if max_cycles and clock.now > max_cycles:
                             raise StarvationError(max_cycles)
                         if thread.revocation_request is not None:
@@ -153,8 +294,46 @@ class Interpreter:
                         if (
                             thread.quantum_used >= quantum
                             or thread.preempt_requested
-                            or scheduler.pending_wake_time() <= clock.now
+                            or pending_wake() <= clock.now
                         ):
+                            frame.pc = pc
+                            thread.preempt_requested = False
+                            return PREEMPTED
+
+                        # -------------------- superblock trace dispatch
+                        # Entered only once every hoisted yield-point
+                        # check is provably constant for the whole run
+                        # (see repro.vm.tracecomp); the accumulators are
+                        # zero here (just flushed), so the trace owns all
+                        # charging until it hands back through A/F.
+                        sb = supers[pc]
+                        if (
+                            sb is not None
+                            and thread.revocation_request is None
+                            and profiler is None
+                            and clock.listener is None
+                            and (faults is None or faults.yield_quiet())
+                        ):
+                            try:
+                                r = sb.fn(stack, locals_, F, A, thread,
+                                          pending_wake())
+                            except GuestRuntimeError:
+                                # completed iterations are committed; the
+                                # partial one continues as if the chain
+                                # had been accumulating it all along.
+                                acc = A[0]
+                                icount = A[1]
+                                pc = F[0]
+                                raise
+                            if r >= 0:
+                                # branch out of the loop: resume normal
+                                # dispatch at the exit target with the
+                                # partial iteration's unflushed charges.
+                                acc = A[0]
+                                icount = A[1]
+                                pc = r
+                                continue
+                            # preemption or due wake-up at the back edge
                             frame.pc = pc
                             thread.preempt_requested = False
                             return PREEMPTED
@@ -205,16 +384,7 @@ class Interpreter:
                         pc += 1
                     elif op == bc.MOD:
                         b_ = stack.pop()
-                        a_ = stack.pop()
-                        if isinstance(a_, int) and isinstance(b_, int):
-                            if b_ == 0:
-                                raise GuestRuntimeError(
-                                    "integer remainder by zero",
-                                    guest_class="ArithmeticException",
-                                )
-                            stack.append(_imod(a_, b_))
-                        else:
-                            stack.append(self._fmod(a_, b_))
+                        stack.append(_mod_values(stack.pop(), b_))
                         pc += 1
 
                     # ------------------------------------------ heap access
@@ -589,16 +759,7 @@ class Interpreter:
                     # ------------------------------------------ cold opcodes
                     elif op == bc.DIV:
                         b_ = stack.pop()
-                        a_ = stack.pop()
-                        if isinstance(a_, int) and isinstance(b_, int):
-                            if b_ == 0:
-                                raise GuestRuntimeError(
-                                    "integer division by zero",
-                                    guest_class="ArithmeticException",
-                                )
-                            stack.append(_idiv(a_, b_))
-                        else:
-                            stack.append(self._fdiv(a_, b_))
+                        stack.append(_div_values(stack.pop(), b_))
                         pc += 1
                     elif op == bc.NEG:
                         stack[-1] = -stack[-1]
@@ -668,24 +829,6 @@ class Interpreter:
                 # loop around; frame/pc were updated by the dispatcher
 
     # ------------------------------------------------------------- helpers
-    @staticmethod
-    def _fdiv(a, b):
-        import math
-
-        if b == 0:
-            if a == 0:
-                return math.nan
-            return math.inf if a > 0 else -math.inf
-        return a / b
-
-    @staticmethod
-    def _fmod(a, b):
-        import math
-
-        if b == 0:
-            return math.nan
-        return math.fmod(a, b)
-
     @staticmethod
     def _guest_eq(a, b) -> bool:
         # References compare by identity; numbers by value.

@@ -1,8 +1,9 @@
 """Predecode: translate linked bytecode into fused basic-block closures.
 
-The fast interpreter (:mod:`repro.vm.fastinterp`) spends almost all of its
-host time decoding guest instructions one at a time through a long
-``if/elif`` chain.  This module removes that cost for straight-line code:
+The dispatch loop (:meth:`repro.vm.interpreter.Interpreter._execute`)
+spends almost all of its host time decoding guest instructions one at a
+time through a long ``if/elif`` chain.  This module removes that cost
+for straight-line code, as the block-table source of ``interp="fast"``:
 at first execution of a method it discovers *fusable runs* — maximal
 sequences of opcodes that can never flush the virtual clock, park the
 thread, or emit a trace event — and compiles each run into one Python
@@ -42,9 +43,10 @@ are keyed by type and value (``1``, ``1.0`` and ``True`` generate
 different code); a method with an operand the key cannot represent
 exactly is translated privately and never cached.
 
-Semantics preservation is the hard requirement: the reference interpreter
-(:class:`repro.vm.interpreter.Interpreter`) is the oracle and the parity
-suite (``tests/test_interp_parity.py``) asserts byte-identical virtual
+Semantics preservation is the hard requirement: the same loop run with
+an empty block table (``interp="reference"``: every instruction through
+the dispatch chain) is the oracle, and the parity suite
+(``tests/test_interp_parity.py``) asserts byte-identical virtual
 clocks, trace streams, schedules and checker fingerprints.  The design
 invariants that make this safe:
 
@@ -101,49 +103,29 @@ from repro.errors import GuestRuntimeError, StarvationError
 from repro.vm import bytecode as bc
 from repro.vm.classfile import MethodDef
 from repro.vm.heap import require_ref
-from repro.vm.interpreter import Interpreter, _idiv, _imod
+from repro.vm.interpreter import (
+    Interpreter, _div_values, _fdiv, _fmod, _idiv, _imod, _mod_values,
+)
 
 
 # --------------------------------------------------------------- helpers
 # Runtime helpers referenced from generated code (short upper-case names
-# keep the generated source readable in dumps and tracebacks).
-
-def _mod_values(a, b):
-    """MOD with an unknown divisor — replicates the reference arm."""
-    if isinstance(a, int) and isinstance(b, int):
-        if b == 0:
-            raise GuestRuntimeError(
-                "integer remainder by zero",
-                guest_class="ArithmeticException",
-            )
-        return _imod(a, b)
-    return Interpreter._fmod(a, b)
-
-
-def _div_values(a, b):
-    """DIV with an unknown divisor — replicates the reference arm."""
-    if isinstance(a, int) and isinstance(b, int):
-        if b == 0:
-            raise GuestRuntimeError(
-                "integer division by zero",
-                guest_class="ArithmeticException",
-            )
-        return _idiv(a, b)
-    return Interpreter._fdiv(a, b)
-
+# keep the generated source readable in dumps and tracebacks).  DIV/MOD
+# with an unknown divisor use the dispatch chain's own _div_values /
+# _mod_values; the constant-divisor variants below skip its zero test.
 
 def _mod_const(a, b):
     """MOD by a known non-zero int constant: no zero test needed."""
     if isinstance(a, int):
         return _imod(a, b)
-    return Interpreter._fmod(a, b)
+    return _fmod(a, b)
 
 
 def _div_const(a, b):
     """DIV by a known non-zero int constant: no zero test needed."""
     if isinstance(a, int):
         return _idiv(a, b)
-    return Interpreter._fdiv(a, b)
+    return _fdiv(a, b)
 
 
 def _mod_pos_const(a, k):
@@ -156,14 +138,14 @@ def _mod_pos_const(a, k):
     if isinstance(a, int):
         r = a % k
         return r - k if r and a < 0 else r
-    return Interpreter._fmod(a, k)
+    return _fmod(a, k)
 
 
 def _div_pos_const(a, k):
     """DIV by a known positive int constant (truncation toward zero)."""
     if isinstance(a, int):
         return a // k if a >= 0 else -((-a) // k)
-    return Interpreter._fdiv(a, k)
+    return _fdiv(a, k)
 
 
 _CMP_EXPR = {
@@ -246,9 +228,9 @@ class DecodedMethod:
     interpreter's dispatch chain.  ``superblocks`` is likewise indexed by
     pc: ``superblocks[pc]`` is the :class:`~repro.vm.tracecomp.SuperBlock`
     anchored at the backward-GOTO yield point ``pc``, or ``None``.
-    Missing blocks/superblocks are always safe — the fast interpreter
-    retains the full reference chain as its fallback, so predecode
-    coverage affects speed only, never behaviour.
+    Missing blocks/superblocks are always safe — every pc without one
+    runs through the dispatch chain, so predecode coverage affects speed
+    only, never behaviour.
     """
 
     __slots__ = ("method", "blocks", "block_list", "superinstructions",
@@ -376,7 +358,7 @@ def predecode_method(vm, method: MethodDef) -> DecodedMethod:
     """Predecode ``method`` for ``vm``; cached on the MethodDef.
 
     Must run only after the method is linked into ``vm`` (costs and yield
-    points assigned, transformer and barrier elision done) — the fast
+    points assigned, transformer and barrier elision done) — the
     interpreter calls it lazily at first execution, which satisfies that.
     Translation itself is shared: a method whose template key (see
     :func:`_template_key`) was translated before in this process only
@@ -388,7 +370,7 @@ def predecode_method(vm, method: MethodDef) -> DecodedMethod:
     options = vm.options
     read_barriers = options.modified
     # trace_memory needs per-access events; the option normally forces
-    # the reference interpreter, but stay safe if reached regardless.
+    # the untranslated table, but stay safe if reached regardless.
     fuse_heap = not (options.trace and options.trace_memory)
     bounded = bool(options.max_cycles)
     try:

@@ -9,7 +9,8 @@ degradation ladders), the fault plane, and the stored trace.  Restoring a
 snapshot yields an *independent* VM positioned at exactly the captured
 point: driving it forward produces byte-identical clocks, traces, metrics
 and final-state fingerprints to a from-zero replay of the same schedule
-(pinned by ``tests/test_vm_snapshot.py`` under both interpreters).
+(pinned by ``tests/test_vm_snapshot.py`` under both block-table
+sources, ``interp="fast"`` and ``"reference"``).
 
 The schedule checker's DPOR engine (:mod:`repro.check.dpor`) checkpoints
 at scheduler decision points so explored prefixes resume from snapshots
@@ -23,13 +24,15 @@ What a snapshot deliberately does **not** capture:
   host-side analyses whose state is not part of the VM; callers reinstall
   what they need on the restored VM.  (The cycle profiler *is* VM state:
   it is carried across and re-wired as the clock listener on restore.)
-* **Predecode results** — the fast interpreter's basic blocks are
-  host-side closures bound to one VM's runtime; they are dropped on
+* **Predecode results** — translated basic blocks (``interp="fast"``)
+  are host-side closures bound to one VM's runtime; they are dropped on
   both sides.  On next execution each method re-binds its translation
   template from the process-wide cache (:mod:`repro.vm.predecode`): a
   fresh namespace and fresh inline-cache cells around the already
   compiled code, no code generation or ``compile``.  This is
-  observably free (virtual costs were assigned at link time).
+  observably free (virtual costs were assigned at link time).  The
+  untranslated tables of ``interp="reference"`` are process-wide and
+  never stored on the VM, so there is nothing to drop.
 
 Snapshots are copy-on-capture: the master copy inside a
 :class:`VMSnapshot` is never executed, and every :func:`restore_vm` call

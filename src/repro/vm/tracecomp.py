@@ -25,7 +25,7 @@ like block coverage, can only affect speed, never behaviour.
 The guard-and-commit protocol
 -----------------------------
 
-The fast interpreter enters a superblock from the anchor's yield point
+The dispatch loop enters a superblock from the anchor's yield point
 *after* the inlined flush and checks have all passed (so the unflushed
 accumulators are zero), and only when every hoisted check is provably
 constant for the duration of the run:
@@ -45,7 +45,7 @@ constant for the duration of the run:
   time ``PW`` is read once at entry.
 
 Inside the generated function each iteration charges the back-edge and
-the executed body exactly as the reference interpreter would, then
+the executed body exactly as the dispatch chain would, then
 *commits* the iteration — ``dn += acc; de += 1`` — and re-evaluates the
 hoisted checks against the VM's quantum and cycle cap.  Those two are
 not baked into the source: they are the namespace bindings ``QU`` and
@@ -56,7 +56,7 @@ set at all *is* part of the translation (the test is omitted without
 one).  On any exit the accumulated cycles and flush-event count
 are folded into the clock in one :meth:`Clock.commit_batch` call plus
 the three thread mirrors, which is byte-identical (clock value *and*
-event count) to the per-iteration flushes the reference performs.
+event count) to the per-iteration flushes the chain performs.
 
 Exits:
 
@@ -72,13 +72,13 @@ Exits:
 * **guest exception** — commit completed iterations, hand back the
   partial accumulators (cost model: charge-before-execute, so the
   faulting op is included) and the faulting pc through ``F[0]``; the
-  dispatcher re-raises into the reference's exception path.
+  dispatcher re-raises into the chain's exception path.
 
 Static costs are charged lazily at code-generation time: a pending
 (cost, count) pair accrues per emitted instruction and is flushed into
 the ``acc``/``ic`` locals before any op that can raise, at control-flow
 splits, and at iteration boundaries — so the locals equal the
-reference's unflushed accumulators at every observable escape point
+chain's unflushed accumulators at every observable escape point
 without per-instruction arithmetic in the common case.
 """
 

@@ -134,11 +134,13 @@ class VMOptions:
     #: raise DeadlockError instead of revoking when a wait-for cycle forms
     #: (forces rollback mode to behave like the baseline for deadlocks)
     resolve_deadlocks: bool = True
-    #: interpreter engine: "fast" (predecoded basic-block dispatch,
-    #: :mod:`repro.vm.fastinterp`) or "reference" (instruction-at-a-time,
-    #: the differential oracle).  Both produce byte-identical virtual
-    #: clocks, traces, schedules and fingerprints; the reference engine is
-    #: auto-selected when ``trace_memory`` needs per-access events.
+    #: block-table source of the one dispatch loop
+    #: (:mod:`repro.vm.interpreter`): "fast" runs translated basic blocks
+    #: and superblocks (:mod:`repro.vm.predecode`), "reference" runs every
+    #: instruction through the dispatch chain (the differential oracle).
+    #: Both produce byte-identical virtual clocks, traces, schedules and
+    #: fingerprints; ``effective_interp`` forces "reference" when
+    #: ``trace_memory`` needs per-access events.
     interp: str = "fast"
     #: attach the virtual-cycle profiler (:mod:`repro.obs.profile`):
     #: per-track/per-method cycle attribution whose totals equal the final
@@ -164,8 +166,9 @@ class VMOptions:
 
     @property
     def effective_interp(self) -> str:
-        """The engine actually installed: per-access memory tracing needs
-        per-instruction events, which forces the reference path."""
+        """The block-table source actually used: per-access memory tracing
+        needs per-instruction events, which translated heap ops do not
+        emit, so it forces the untranslated ("reference") table."""
         if self.trace and self.trace_memory:
             return "reference"
         return self.interp
@@ -222,14 +225,7 @@ class JVM:
             from repro.faults.plane import FaultPlane
 
             self.fault_plane = FaultPlane(self, options.faults)
-        if options.effective_interp == "fast":
-            # Imported here: fastinterp pulls in the predecoder, which most
-            # reference-engine users (and docs builds) never need.
-            from repro.vm.fastinterp import FastInterpreter
-
-            self.interpreter: Interpreter = FastInterpreter(self)
-        else:
-            self.interpreter = Interpreter(self)
+        self.interpreter = Interpreter(self)
         self.scheduler: BaseScheduler = (
             PriorityScheduler(self)
             if options.scheduler == "priority"

@@ -1,29 +1,25 @@
-"""Differential parity: the fast interpreter vs the reference oracle.
+"""Differential parity: translated vs untranslated dispatch.
 
-The predecoded threaded-dispatch interpreter (:mod:`repro.vm.fastinterp`)
-must be *observationally indistinguishable* from the reference
-interpreter: identical virtual clock totals **and** clock event counts
-(every ``advance()`` call, even ``advance(0)``, is part of the
+The VM has one dispatch loop (:mod:`repro.vm.interpreter`) with two
+block-table sources.  ``interp="fast"`` runs predecoded basic blocks and
+superblocks (:mod:`repro.vm.predecode`, :mod:`repro.vm.tracecomp`);
+``interp="reference"`` runs every instruction through the dispatch
+chain, which makes it the oracle.  The two must be *observationally
+indistinguishable*: identical virtual clock totals **and** clock event
+counts (every ``advance()`` call, even ``advance(0)``, is part of the
 determinism fingerprint), identical trace event streams, identical
 metrics, and identical checker fingerprints.  These tests run the same
-guest program once per interpreter and compare all of it.
+guest program once per source and compare all of it.
 
-Two process-global counters would otherwise poison the comparison — they
-are build/run ordinal counters, not interpreter state:
-
-* ``Asm._sync_counter`` numbers monitor sync ids at *assembly* time, so
-  building the same workload twice in one process yields different sync
-  ids baked into the bytecode;
-* ``repro.core.sections._section_ids`` numbers critical sections at *run*
-  time across all VMs in the process.
-
-``_fresh()`` resets both before every build+run so the two interpreters
-see byte-identical programs and emit byte-identical section names.
+The comparison is sound because every build and run is independent of
+what ran before in the process: sync ids are numbered per assembler and
+section ids per VM, so building and running a workload twice yields the
+same bytecode and the same section names.  The last test guards the
+oracle side: an untranslated run must never translate, or the suite
+would compare translated code against itself.
 """
 
 from __future__ import annotations
-
-import itertools
 
 import pytest
 
@@ -38,19 +34,14 @@ from repro.bench.workloads import (
 )
 from repro.check.oracle import final_fingerprint, fingerprint_digest
 from repro.check.scenarios import scenarios
-from repro.core import sections
 from repro.errors import DeadlockError, UncaughtGuestException
+from repro.vm import predecode
 from repro.vm.assembler import Asm
+from repro.vm.predecode import TemplateCache
 from repro.vm.vmcore import JVM, VMOptions
 
 MODES = ("unmodified", "rollback", "inheritance", "ceiling")
 INTERPS = ("reference", "fast")
-
-
-def _fresh() -> None:
-    """Reset the process-global build/run counters (see module docstring)."""
-    Asm._sync_counter = 0
-    sections._section_ids = itertools.count(1)
 
 
 def _snap(vm: JVM, outcome: str) -> dict:
@@ -82,7 +73,6 @@ def _snap(vm: JVM, outcome: str) -> dict:
 
 
 def _run_workload(build, mode: str, interp: str, **overrides) -> dict:
-    _fresh()
     workload = build()
     opts = dict(
         mode=mode, interp=interp, trace=True, seed=7,
@@ -160,7 +150,6 @@ def test_microbench_parity(mode: str) -> None:
     )
     results = {}
     for interp in INTERPS:
-        _fresh()
         results[interp] = run_microbench(
             config, mode, options=VMOptions(interp=interp)
         )
@@ -240,18 +229,58 @@ def test_exception_path_parity(name, build_factory, mode) -> None:
     _assert_identical(build_factory, mode)
 
 
-# ----------------------------------------------------- reference forcing
-def test_trace_memory_forces_reference() -> None:
-    """The lockset pass needs per-access events, which fused heap ops do
-    not emit; ``effective_interp`` must fall back to the reference."""
+# ------------------------------------------------------- oracle guard
+def _counting_run(monkeypatch, **options) -> dict:
+    """Run a rollback workload, counting translations, cached templates,
+    translated MethodDefs and executed basic blocks."""
+    templates = TemplateCache(predecode.TEMPLATE_CACHE_CAPACITY)
+    monkeypatch.setattr(predecode, "TEMPLATES", templates)
+    translate = predecode.predecode_method
+    counts = {"translations": 0, "blocks_run": 0}
+
+    def counted(fn):
+        def run(*args):
+            counts["blocks_run"] += 1
+            return fn(*args)
+        return run
+
+    def counting_predecode(vm, method):
+        counts["translations"] += 1
+        dm = translate(vm, method)
+        for block in dm.block_list:
+            block.fn = counted(block.fn)
+        return dm
+
+    monkeypatch.setattr(predecode, "predecode_method", counting_predecode)
+    _, build = POLICY_WORKLOADS[1]
+    vm = JVM(VMOptions(mode="rollback", trace=True, seed=7,
+                       max_cycles=50_000_000, **options))
+    build().install(vm)
+    vm.run()
+    counts["templates"] = len(templates)
+    counts["decoded_methods"] = sum(
+        "_decoded" in vars(m)
+        for cls in vm.classes.values() for m in cls.methods.values()
+    )
+    return counts
+
+
+def test_untranslated_side_never_translates(monkeypatch) -> None:
+    """``interp="reference"`` and ``trace_memory`` (the lockset pass and
+    DPOR exploration) must run every pc through the dispatch chain: no
+    translation, no cached template, no ``MethodDef._decoded``.  The
+    same workload translated must execute blocks, so the counters see
+    translation when it happens."""
     opts = VMOptions(trace=True, trace_memory=True)
     assert opts.interp == "fast"
     assert opts.effective_interp == "reference"
 
-    from repro.vm.fastinterp import FastInterpreter
-    from repro.vm.interpreter import Interpreter
-
-    vm = JVM(opts)
-    assert type(vm.interpreter) is Interpreter
-    vm2 = JVM(VMOptions(trace=True))
-    assert type(vm2.interpreter) is FastInterpreter
+    untranslated = {"translations": 0, "blocks_run": 0, "templates": 0,
+                    "decoded_methods": 0}
+    assert _counting_run(monkeypatch, interp="reference") == untranslated
+    assert _counting_run(monkeypatch, trace_memory=True) == untranslated
+    fast = _counting_run(monkeypatch, interp="fast")
+    assert fast["translations"] > 0
+    assert fast["templates"] > 0
+    assert fast["decoded_methods"] > 0
+    assert fast["blocks_run"] >= 1

@@ -10,8 +10,6 @@ identical, so the per-track guest total must equal the per-method sum.
 
 from __future__ import annotations
 
-import itertools
-
 import pytest
 
 from repro.bench.workloads import (
@@ -19,16 +17,12 @@ from repro.bench.workloads import (
     build_medium_inversion,
     build_philosophers,
 )
-from repro.core import sections
-from repro.vm.assembler import Asm
 from repro.vm.vmcore import JVM, VMOptions
 
 MODES = ("unmodified", "rollback", "inheritance", "ceiling")
 
 
 def _run(build, mode="rollback", interp="fast", **overrides):
-    Asm._sync_counter = 0
-    sections._section_ids = itertools.count(1)
     opts = dict(mode=mode, interp=interp, trace=True, profile=True,
                 seed=7, max_cycles=50_000_000)
     opts.update(overrides)
@@ -103,8 +97,6 @@ def test_switch_cycles_match_context_switch_cost():
 
 
 def test_profiler_absent_by_default():
-    Asm._sync_counter = 0
-    sections._section_ids = itertools.count(1)
     vm = JVM(VMOptions(mode="rollback", trace=True))
     assert vm.profiler is None
     build_deadlock_pair(hold_cycles=800, work=20).install(vm)

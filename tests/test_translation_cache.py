@@ -11,12 +11,9 @@ exact keys for operands Python compares loosely.
 
 from __future__ import annotations
 
-import itertools
-
 import pytest
 
 from repro.check.oracle import final_fingerprint, fingerprint_digest
-from repro.core import sections
 from repro.errors import StarvationError
 from repro.vm import predecode
 from repro.vm.assembler import Asm
@@ -37,13 +34,6 @@ def templates(monkeypatch) -> TemplateCache:
     cache = TemplateCache(predecode.TEMPLATE_CACHE_CAPACITY)
     monkeypatch.setattr(predecode, "TEMPLATES", cache)
     return cache
-
-
-def _fresh() -> None:
-    """Reset the process-global build/run ordinals (see
-    tests/test_interp_parity.py for why)."""
-    Asm._sync_counter = 0
-    sections._section_ids = itertools.count(1)
 
 
 def _hot_loop(count: int, *, const=1) -> Asm:
@@ -70,7 +60,6 @@ def _observe(vm, outcome: str) -> dict:
 
 def _run(asm_factory, interp: str, *, threads=1, mode="unmodified",
          **options) -> dict:
-    _fresh()
     vm = make_vm(mode, interp=interp, seed=7, **options)
     vm.load(build_class("C", ["lock:ref", "value"], [asm_factory()]))
     for k in range(threads):
@@ -116,7 +105,6 @@ class TestSharedTemplates:
 
     def test_hit_renders_like_the_miss(self, templates):
         def decode():
-            _fresh()
             vm = make_vm("rollback", interp="fast")
             vm.load(build_class("C", ["lock:ref", "value"], [_hot_loop(9)]))
             return predecode_method(vm, vm.classes["C"].method("run"))
@@ -162,7 +150,6 @@ class TestNoStaleTemplate:
             return build_class("C", ["lock:ref", "value"], [run])
 
         def run_vm(interp, *, pre_decode):
-            _fresh()
             vm = make_vm("rollback", interp=interp, seed=7)
             vm.load(program())
             vm.set_static("C", "lock", vm.new_object("C"))

@@ -6,7 +6,8 @@ history no matter which process executes it.  That makes the Figures 5–8
 matrix embarrassingly parallel: this module
 
 1. enumerates the full run matrix for a figure/campaign up front,
-2. fans the runs out to a worker pool (:class:`RunEngine`),
+2. fans the runs out to an execution lane — inline, a process pool or
+   the fleet (:class:`RunEngine`),
 3. reduces the results back in deterministic matrix order, so every
    report and figure is byte-identical to the serial path, and
 4. memoizes completed runs in a content-addressed on-disk cache
@@ -41,7 +42,7 @@ import time
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Callable, Optional, Sequence
+from typing import Any, Callable, Iterator, NamedTuple, Optional, Sequence
 
 from repro.bench.harness import RunResult, run_microbench
 from repro.bench.microbench import MicrobenchConfig
@@ -49,6 +50,7 @@ from repro.vm.clock import CostModel
 from repro.vm.vmcore import VMOptions
 
 __all__ = [
+    "Completion",
     "EngineStats",
     "ResultCache",
     "RunEngine",
@@ -478,6 +480,22 @@ class EngineStats:
 
 
 # ----------------------------------------------------------------- engine
+class Completion(NamedTuple):
+    """One finished task, as an execution lane reports it to
+    :meth:`RunEngine.map`."""
+
+    index: int
+    result: Any
+    #: wall-clock seconds the lane spent on the task
+    wall: float
+    #: execution lane (worker) the task ran on, for the per-lane stats
+    lane: str
+    #: served from the lane's own cache: counted as a hit, not a run
+    cached: bool = False
+    #: the result's already-verified pickle, stored byte-for-byte
+    payload: Optional[bytes] = None
+
+
 def _timed_call(
     fn: Callable[[Any], Any], item: Any
 ) -> tuple[Any, float, str]:
@@ -485,6 +503,27 @@ def _timed_call(
     t0 = time.perf_counter()
     result = fn(item)
     return result, time.perf_counter() - t0, f"pool-{os.getpid()}"
+
+
+def _inline_lane(
+    fn: Callable[[Any], Any], items: Sequence[Any], pending: list[int]
+) -> Iterator[Completion]:
+    for i in pending:
+        result, wall, _ = _timed_call(fn, items[i])
+        yield Completion(i, result, wall, "inline")
+
+
+def _pool_lane(
+    fn: Callable[[Any], Any], items: Sequence[Any], pending: list[int],
+    jobs: int,
+) -> Iterator[Completion]:
+    with ProcessPoolExecutor(max_workers=min(jobs, len(pending))) as pool:
+        futures = {pool.submit(_timed_call, fn, items[i]): i for i in pending}
+        not_done = set(futures)
+        while not_done:
+            done, not_done = wait(not_done, return_when=FIRST_COMPLETED)
+            for fut in done:
+                yield Completion(futures[fut], *fut.result())
 
 
 def _env_jobs() -> int:
@@ -507,12 +546,19 @@ def _env_cache() -> Optional[ResultCache]:
 class RunEngine:
     """Deterministic fan-out/fan-in executor for pure benchmark runs.
 
-    ``jobs=1`` executes inline in this process (the historical serial
-    path — no pool, no pickling); ``jobs>1`` uses a process pool.  An
-    optional :class:`ResultCache` short-circuits runs whose key was
+    :meth:`map` owns every piece of bookkeeping — keys, cache hits,
+    stores, stats — and hands only the pending tasks to an execution
+    lane (:meth:`lane`): ``jobs=1`` executes inline in this process (no
+    pool, no pickling), ``jobs>1`` uses a process pool, and
+    :class:`repro.fleet.engine.FleetEngine` ships them to fleet workers.
+    An optional :class:`ResultCache` short-circuits runs whose key was
     computed before.  ``stats`` accumulates over the engine's lifetime;
     ``last_stats`` describes only the most recent :meth:`map` call.
     """
+
+    #: compute task keys even without a local cache (the fleet ships
+    #: them to workers, which may keep their own stores)
+    ships_keys = False
 
     def __init__(
         self,
@@ -535,6 +581,20 @@ class RunEngine:
         """Release engine resources (a no-op for the local engine; the
         fleet engine overrides this to drain its workers)."""
 
+    def lane(
+        self,
+        fn: Callable[[Any], Any],
+        items: Sequence[Any],
+        pending: list[int],
+        keys: list[Optional[str]],
+        stats: EngineStats,
+    ) -> Iterator[Completion]:
+        """Execute ``items[i]`` for every ``i`` in ``pending``; yield one
+        :class:`Completion` per task, in any order."""
+        if self.jobs == 1 or len(pending) <= 1:
+            return _inline_lane(fn, items, pending)
+        return _pool_lane(fn, items, pending, self.jobs)
+
     def map(
         self,
         fn: Callable[[Any], Any],
@@ -545,8 +605,9 @@ class RunEngine:
         """Run ``fn`` over ``items``; results come back in input order.
 
         ``fn`` must be a module-level callable and every item picklable
-        when ``jobs > 1``.  With a cache and a ``key_fn``, cached items
-        are served without executing; fresh results are stored back.
+        for any lane but the inline one.  With a cache and a ``key_fn``,
+        cached items are served without executing; fresh results are
+        stored back.
         """
         t0 = time.perf_counter()
         stats = EngineStats(jobs=self.jobs)
@@ -554,13 +615,18 @@ class RunEngine:
         stats.run_walls = [0.0] * len(items)
         stats.run_instructions = [0] * len(items)
         results: list[Any] = [None] * len(items)
+        cache = self.cache
+        want_keys = key_fn is not None and (
+            cache is not None or self.ships_keys
+        )
 
         pending: list[int] = []
         keys: list[Optional[str]] = [None] * len(items)
         for i, item in enumerate(items):
-            if self.cache is not None and key_fn is not None:
+            if want_keys:
                 keys[i] = key_fn(item)
-                hit = self.cache.get(keys[i])
+            if cache is not None and keys[i] is not None:
+                hit = cache.get(keys[i])
                 if hit is not None:
                     results[i] = hit
                     stats.cache_hits += 1
@@ -568,55 +634,40 @@ class RunEngine:
                     continue
             pending.append(i)
 
-        stats.executed = len(pending)
-        if self.jobs == 1 or len(pending) <= 1:
-            for i in pending:
-                results[i], wall, lane = _timed_call(fn, items[i])
-                stats.run_walls[i] = wall
-                stats.run_wall += wall
-                dropped, sink_errors = trace_health(results[i])
+        fresh: list[Completion] = []
+        for done in self.lane(fn, items, pending, keys, stats):
+            i = done.index
+            results[i] = done.result
+            fresh.append(done)
+            if done.cached:
+                stats.cache_hits += 1
+                stats.credit(done.lane, cache_hits=1)
+            else:
+                stats.executed += 1
+                stats.run_walls[i] = done.wall
+                stats.run_wall += done.wall
+                gi = guest_instructions(done.result)
+                stats.run_instructions[i] = gi
+                stats.guest_instructions += gi
+                dropped, sink_errors = trace_health(done.result)
                 stats.trace_dropped += dropped
                 stats.trace_sink_errors += sink_errors
                 stats.credit(
-                    "inline", tasks=1, run_wall=wall,
+                    done.lane, tasks=1, run_wall=done.wall,
                     trace_dropped=dropped,
                     trace_sink_errors=sink_errors,
                 )
-        else:
-            workers = min(self.jobs, len(pending))
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                futures = {
-                    pool.submit(_timed_call, fn, items[i]): i
-                    for i in pending
-                }
-                not_done = set(futures)
-                while not_done:
-                    done, not_done = wait(
-                        not_done, return_when=FIRST_COMPLETED
-                    )
-                    for fut in done:
-                        i = futures[fut]
-                        results[i], wall, lane = fut.result()
-                        stats.run_walls[i] = wall
-                        stats.run_wall += wall
-                        dropped, sink_errors = trace_health(results[i])
-                        stats.trace_dropped += dropped
-                        stats.trace_sink_errors += sink_errors
-                        stats.credit(
-                            lane, tasks=1, run_wall=wall,
-                            trace_dropped=dropped,
-                            trace_sink_errors=sink_errors,
-                        )
 
-        for i in pending:
-            gi = guest_instructions(results[i])
-            stats.run_instructions[i] = gi
-            stats.guest_instructions += gi
-
-        if self.cache is not None and key_fn is not None:
-            for i in pending:
-                if results[i] is not None:
-                    self.cache.put(keys[i], results[i])
+        # Stores wait until the lane has drained, so no cache write runs
+        # between two tasks of the inline lane.
+        for done in fresh:
+            key = keys[done.index]
+            if cache is None or key is None or done.result is None:
+                continue
+            if done.payload is not None:
+                cache.put_bytes(key, done.payload)
+            else:
+                cache.put(key, done.result)
 
         stats.host_wall = time.perf_counter() - t0
         self.last_stats = stats

@@ -28,6 +28,7 @@ from repro.check.oracle import (
     counterexample_payload,
     replay_counterexample,
 )
+from repro.fleet.cli import campaign_args, campaign_engine, print_stats
 from repro.check.scenarios import scenarios
 
 
@@ -115,34 +116,10 @@ def _parser() -> argparse.ArgumentParser:
              "exploring",
     )
     parser.add_argument(
-        "--jobs", type=int, default=None,
-        help="worker processes (default REPRO_BENCH_JOBS or cpu count; "
-             "1 = serial)",
-    )
-    parser.add_argument(
-        "--no-cache", action="store_true",
-        help="skip the on-disk result cache for this invocation",
-    )
-    parser.add_argument(
         "--list", action="store_true", help="list scenarios and exit"
     )
-    from repro.fleet.cli import add_fleet_args
-
-    add_fleet_args(parser)
+    campaign_args(parser)
     return parser
-
-
-def _engine(args):
-    from repro.bench.parallel import RunEngine
-    from repro.fleet.cli import resolve_fleet_engine
-
-    engine = RunEngine.from_env()
-    if args.jobs is not None:
-        engine = RunEngine(jobs=max(1, args.jobs), cache=engine.cache)
-    if args.no_cache:
-        engine = RunEngine(jobs=engine.jobs, cache=None)
-    fleet = resolve_fleet_engine(args, engine.cache)
-    return fleet if fleet is not None else engine
 
 
 def _cmd_list() -> int:
@@ -227,10 +204,6 @@ def main(argv: list[str] | None = None) -> int:
     args = _parser().parse_args(argv)
     if args.list:
         return _cmd_list()
-    if args.fleet == "worker":
-        from repro.fleet.cli import run_fleet_worker
-
-        return run_fleet_worker(args)
     if args.replay is not None:
         return _cmd_replay(
             args.replay, args.trace_out, args.trace_mode,
@@ -241,8 +214,7 @@ def main(argv: list[str] | None = None) -> int:
         return _cmd_lockset(args.lockset)
 
     modes = tuple(m.strip() for m in args.modes.split(",") if m.strip())
-    engine = _engine(args)
-    try:
+    with campaign_engine(args) as engine:
         if args.strategy == "dpor":
             from repro.check.dpor import explore_dpor
 
@@ -264,8 +236,6 @@ def main(argv: list[str] | None = None) -> int:
                 engine=engine,
                 exhaustive=args.strategy == "exhaustive",
             )
-    finally:
-        engine.close()
     bound_part = "" if report.bound < 0 else f" bound={report.bound}"
     print(f"repro.check scenario={report.scenario} "
           f"strategy={report.strategy}{bound_part} "
@@ -285,9 +255,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"  {mode}: {summary}")
     print(f"divergences: {len(report.divergences)}")
     print(f"repro.check {report.reduction_line()}", file=sys.stderr)
-    print(engine.stats.render(), file=sys.stderr)
-    for line in engine.stats.render_workers():
-        print(line, file=sys.stderr)
+    print_stats(engine.stats)
     if not report.divergences:
         print("OK: all explored schedules are policy-equivalent")
         return 0

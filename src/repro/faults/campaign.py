@@ -9,10 +9,12 @@ counters) holds no matter what the fault plane injected.
 The report is a pure function of ``(scenario set, seed range)``: two
 invocations with the same arguments must print byte-identical output.
 
-Cells fan out across worker processes via :mod:`repro.bench.parallel`
-(``--jobs`` / ``REPRO_BENCH_JOBS``); each cell is a pure function of
-``(scenario, seed)``, so the report stays byte-identical for any worker
-count and completed cells are served from the shared result cache.
+Cells fan out through :mod:`repro.bench.parallel` with the shared
+campaign flags (``--jobs`` / ``--no-cache`` / ``--fleet``, see
+:mod:`repro.fleet.cli`); each cell is a pure function of ``(scenario,
+seed)``, so the report stays byte-identical for any worker count, lane
+or cache state, and completed cells are served from the shared result
+cache.
 
 Usage::
 
@@ -46,6 +48,7 @@ from repro.errors import (
     StarvationError,
 )
 from repro.faults.plane import FaultPlan
+from repro.fleet.cli import campaign_args, campaign_engine, print_stats
 from repro.util.rng import sweep_seed
 from repro.vm.vmcore import JVM, VMOptions
 
@@ -407,7 +410,7 @@ def replay_cell(
     return run_one(scenario, seed_index, interp=interp)
 
 
-def main(argv: list[str] | None = None) -> int:
+def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro.faults.campaign",
         description="deterministic fault-injection campaign",
@@ -425,16 +428,17 @@ def main(argv: list[str] | None = None) -> int:
         help="interpreter engine (fragments are identical either way)",
     )
     parser.add_argument(
-        "--jobs", type=int, default=None,
-        help="worker processes (default REPRO_BENCH_JOBS or cpu count; "
-             "1 = serial)",
-    )
-    parser.add_argument(
         "--replay", type=int, default=None, metavar="INDEX",
         help="re-run exactly one (--scenario, seed INDEX) cell serially "
              "and print its fragment (the reproduction path printed on "
              "stderr when a campaign run fails)",
     )
+    campaign_args(parser)
+    return parser
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = _parser()
     args = parser.parse_args(argv)
     if args.replay is not None:
         if args.scenario is None:
@@ -443,17 +447,13 @@ def main(argv: list[str] | None = None) -> int:
                                interp=args.interp)
         print(json.dumps(fragment, indent=2, sort_keys=True))
         return 1 if fragment["violations"] else 0
-    from repro.bench.parallel import RunEngine
-
-    engine = RunEngine.from_env()
-    if args.jobs is not None:
-        engine = RunEngine(jobs=max(1, args.jobs), cache=engine.cache)
-    report = run_campaign(args.seeds, args.scenario, engine=engine,
-                          interp=args.interp)
+    with campaign_engine(args) as engine:
+        report = run_campaign(args.seeds, args.scenario, engine=engine,
+                              interp=args.interp)
     print(json.dumps(report, indent=2, sort_keys=True))
     # stderr only: the stdout report must stay byte-identical across
-    # jobs/cache settings (the campaign's determinism contract).
-    print(engine.stats.render(), file=sys.stderr)
+    # jobs/cache/fleet settings (the campaign's determinism contract).
+    print_stats(engine.stats)
     for failure in report["failures"]:
         # one copy-pastable reproduction command per failed cell that
         # round-trips every flag shaping the cell (scenario, seed index,

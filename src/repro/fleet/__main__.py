@@ -4,13 +4,14 @@ Subcommands::
 
     worker --connect HOST:PORT [--name NAME] [--no-cache]
         Serve tasks for a coordinator until it says shutdown.  This is
-        what ``FleetEngine.local`` spawns and what a multi-host run
-        starts on each worker box.
+        the single worker entry point: what ``FleetEngine.local``
+        spawns and what a multi-host run starts on each worker box.
 
-    perf [--workers 1,2,4] [--output BENCH_fleet.json] [--reps N]
-        Measure fleet scaling of the fig5–8 bench matrix and a DPOR
-        campaign across loopback worker counts and write the
-        ``repro.bench.fleet-perf/1`` report (see repro.fleet.perf).
+    perf [--workers 1,2] [--output BENCH_fleet.json] [--reps N]
+        Measure the fig5–8 bench matrix and a DPOR campaign under the
+        pool lane (jobs=N) and the fleet lane (local:N) at each lane
+        count and write the ``repro.bench.fleet-perf/2`` report (see
+        repro.fleet.perf).
 """
 
 from __future__ import annotations
@@ -44,11 +45,12 @@ def main(argv: list[str] | None = None) -> int:
     )
 
     perf = sub.add_parser(
-        "perf", help="measure fleet scaling (BENCH_fleet.json)"
+        "perf", help="measure pool vs fleet lanes (BENCH_fleet.json)"
     )
     perf.add_argument(
-        "--workers", default="1,2,4", metavar="N,N,...",
-        help="loopback worker counts to sweep (default 1,2,4)",
+        "--workers", default="1,2", metavar="N,N,...",
+        help="lane counts to sweep, each as pool jobs=N and fleet "
+             "local:N (default 1,2)",
     )
     perf.add_argument(
         "--output", default="BENCH_fleet.json", metavar="PATH",

@@ -1,52 +1,74 @@
-"""Shared ``--fleet`` CLI plumbing for bench / check / server / fleet.
+"""Shared campaign-engine plumbing for bench / check / server / obs /
+faults.
 
-Every campaign CLI accepts the same three-mode flag::
+Every campaign CLI declares the same engine flags through
+:func:`campaign_args`::
 
+    --jobs N              local execution lanes (default REPRO_BENCH_JOBS
+                          or the cpu count; 1 = inline, no pool)
+    --no-cache            skip the on-disk result cache
     --fleet local:N       coordinator + N loopback worker subprocesses
     --fleet coordinator   bind --fleet-bind, wait for --fleet-workers
-                          external workers, then run the campaign
-    --fleet worker        connect to --fleet-connect and serve tasks
-                          (the campaign arguments are ignored)
+                          workers started with ``python -m repro.fleet
+                          worker --connect HOST:PORT``
 
-so a multi-host run is "start the coordinator command on one box, start
-the same command with ``--fleet worker --fleet-connect host:port`` on
-the others".  Campaign stdout stays byte-identical to the serial run in
-every mode — the fleet only changes where the pure runs execute.
+builds its engine through :func:`campaign_engine`, which always closes
+it, and reports host-side stats through :func:`print_stats`.  Campaign
+stdout stays byte-identical to the serial run in every mode — the lanes
+only change where the pure runs execute.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-from typing import Optional
+from contextlib import contextmanager
+from typing import Iterator
 
-from repro.bench.parallel import ResultCache, RunEngine
+from repro.bench.parallel import EngineStats, RunEngine, _env_cache, _env_jobs
 
 __all__ = [
-    "add_fleet_args",
+    "campaign_args",
+    "campaign_engine",
     "parse_hostport",
-    "resolve_fleet_engine",
-    "run_fleet_worker",
+    "print_stats",
 ]
 
 
-def add_fleet_args(parser: argparse.ArgumentParser) -> None:
-    group = parser.add_argument_group("fleet")
+def _fleet_mode(text: str) -> str:
+    if text == "coordinator":
+        return text
+    kind, sep, count = text.partition(":")
+    if kind == "local" and sep and count.isdigit() and int(count) >= 1:
+        return text
+    raise argparse.ArgumentTypeError(
+        f"expected local:N or coordinator, got {text!r} (workers are "
+        "started with: python -m repro.fleet worker --connect HOST:PORT)"
+    )
+
+
+def campaign_args(parser: argparse.ArgumentParser) -> None:
+    """Add the shared campaign-engine flag group to ``parser``."""
+    group = parser.add_argument_group("campaign engine")
     group.add_argument(
-        "--fleet", default=None, metavar="MODE",
+        "--jobs", type=int, default=None,
+        help="local execution lanes (default REPRO_BENCH_JOBS or cpu "
+             "count; 1 = inline)",
+    )
+    group.add_argument(
+        "--no-cache", action="store_true",
+        help="skip the on-disk result cache for this invocation",
+    )
+    group.add_argument(
+        "--fleet", type=_fleet_mode, default=None, metavar="MODE",
         help="distributed execution: 'local:N' (N loopback worker "
-             "subprocesses), 'coordinator' (bind --fleet-bind, wait for "
-             "--fleet-workers external workers), or 'worker' (serve "
-             "--fleet-connect; campaign arguments are ignored)",
+             "subprocesses) or 'coordinator' (bind --fleet-bind, wait "
+             "for --fleet-workers workers)",
     )
     group.add_argument(
         "--fleet-bind", default="0.0.0.0:0", metavar="HOST:PORT",
         help="coordinator listen address (default 0.0.0.0:0 — an "
              "ephemeral port, printed on stderr)",
-    )
-    group.add_argument(
-        "--fleet-connect", default=None, metavar="HOST:PORT",
-        help="coordinator address a worker should dial",
     )
     group.add_argument(
         "--fleet-workers", type=int, default=2, metavar="N",
@@ -62,46 +84,34 @@ def parse_hostport(text: str) -> tuple[str, int]:
     return host, int(port)
 
 
-def run_fleet_worker(args: argparse.Namespace) -> int:
-    """The ``--fleet worker`` path, shared by every campaign CLI."""
-    from repro.bench.parallel import _env_cache
-    from repro.fleet.worker import serve
-
-    if not args.fleet_connect:
-        print(
-            "--fleet worker needs --fleet-connect HOST:PORT",
-            file=sys.stderr,
-        )
-        return 2
-    host, port = parse_hostport(args.fleet_connect)
-    served = serve(host, port, cache=_env_cache())
-    print(f"fleet worker served {served} task(s)", file=sys.stderr)
-    return 0
-
-
-def resolve_fleet_engine(
-    args: argparse.Namespace, cache: Optional[ResultCache]
-) -> Optional[RunEngine]:
-    """The engine for ``--fleet local:N`` / ``--fleet coordinator``.
-
-    Returns None when no fleet mode is requested (caller keeps its local
-    engine).  ``--fleet worker`` is not an engine — route it through
-    :func:`run_fleet_worker` before building any engine.
-    """
-    mode = args.fleet
-    if mode is None:
-        return None
+def _build_engine(args: argparse.Namespace) -> RunEngine:
+    cache = None if args.no_cache else _env_cache()
+    if args.fleet is None:
+        jobs = _env_jobs() if args.jobs is None else max(1, args.jobs)
+        return RunEngine(jobs=jobs, cache=cache)
     from repro.fleet.engine import FleetEngine
 
-    if mode.startswith("local:"):
-        workers = int(mode.split(":", 1)[1])
-        return FleetEngine.local(workers, cache=cache)
-    if mode == "coordinator":
+    if args.fleet == "coordinator":
         host, port = parse_hostport(args.fleet_bind)
         return FleetEngine.coordinate(
             host, port, workers=max(1, args.fleet_workers), cache=cache
         )
-    raise ValueError(
-        f"unknown --fleet mode {mode!r} "
-        "(expected local:N, coordinator or worker)"
-    )
+    return FleetEngine.local(int(args.fleet.split(":", 1)[1]), cache=cache)
+
+
+@contextmanager
+def campaign_engine(args: argparse.Namespace) -> Iterator[RunEngine]:
+    """The engine :func:`campaign_args` describes; closed on exit, so a
+    fleet always sends its workers shutdown frames."""
+    engine = _build_engine(args)
+    try:
+        yield engine
+    finally:
+        engine.close()
+
+
+def print_stats(stats: EngineStats, prefix: str = "") -> None:
+    """The aggregate stats line plus the per-worker lines, on stderr."""
+    print(f"{prefix}{stats.render()}", file=sys.stderr)
+    for line in stats.render_workers():
+        print(line, file=sys.stderr)

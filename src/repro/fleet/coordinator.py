@@ -1,10 +1,13 @@
 """The fleet coordinator: shard a run matrix across TCP workers.
 
-The coordinator owns the only mutable campaign state — the task queue,
-the per-task leases and the shared artifact store — so determinism is
+The coordinator is the fleet's execution lane behind
+:meth:`repro.bench.parallel.RunEngine.map`: it owns the task queue and
+the per-task leases, and yields each verified result as a
+:class:`~repro.bench.parallel.Completion`.  Keys, the shared artifact
+store and the stats stay with ``RunEngine.map``, so determinism is
 structural: workers are stateless executors of pure runs, results come
 back addressed by matrix index, and the reduce happens in input order
-exactly like the local engine.  Scheduling, worker death, retries and
+exactly like the local lanes.  Scheduling, worker death, retries and
 cache topology can therefore never reach the report bytes.
 
 Robustness model (the part that makes fleet speedups usable):
@@ -22,9 +25,10 @@ Robustness model (the part that makes fleet speedups usable):
   fails loudly with the worker's error.
 * **Integrity.**  Every result payload travels with its SHA-256 digest
   and is re-hashed on receipt; a mismatch is treated like a transport
-  fault (logged, counted, task re-queued) and the verified payload is
-  stored into the shared :class:`~repro.bench.parallel.ResultCache`
-  byte-for-byte, so a later cache read verifies the same digest.
+  fault (logged, counted, task re-queued).  The verified payload rides
+  along with the completion, so :meth:`RunEngine.map` stores it into the
+  shared :class:`~repro.bench.parallel.ResultCache` byte-for-byte and a
+  later cache read verifies the same digest.
 * **Graceful drain.**  ``shutdown()`` lets parked workers exit on a
   ``shutdown`` frame and in-flight work complete; it never aborts a
   worker mid-run.
@@ -37,17 +41,11 @@ import pickle
 import socket
 import threading
 import time
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass, field
-from typing import Any, Callable, Optional, Sequence
+from typing import Any, Callable, Iterator, Optional, Sequence
 
-from repro.bench.parallel import (
-    EngineStats,
-    ResultCache,
-    guest_instructions,
-    payload_digest,
-    trace_health,
-)
+from repro.bench.parallel import Completion, EngineStats, payload_digest
 from repro.fleet.protocol import FrameSocket, fn_reference
 
 __all__ = ["Coordinator", "FleetError"]
@@ -75,24 +73,28 @@ class _Worker:
 
 
 class _Batch:
-    """One in-flight map() call."""
+    """One in-flight :meth:`Coordinator.run` call."""
 
     def __init__(self, fn_ref: str, items: Sequence[Any],
-                 keys: list[Optional[str]], stats: EngineStats):
+                 keys: list[Optional[str]], pending: list[int]):
         self.fn_ref = fn_ref
         self.items = items
         self.keys = keys
-        self.stats = stats
-        self.results: list[Any] = [None] * len(items)
         self.have = [False] * len(items)
-        self.executed = [False] * len(items)
-        self.pending: deque[int] = deque()
+        self.pending: deque[int] = deque(pending)
         #: (ready_time, task) pairs awaiting their retry backoff
         self.delayed: list[tuple[float, int]] = []
         self.attempts = [0] * len(items)
         self.leases: dict[int, str] = {}
-        self.done = 0
+        #: verified results not yet handed to the caller
+        self.completions: deque[Completion] = deque()
+        self.remaining = len(pending)
         self.failure: Optional[BaseException] = None
+        #: lane counters, credited to the caller's stats on its thread
+        self.bytes_sent: Counter[str] = Counter()
+        self.bytes_received: Counter[str] = Counter()
+        self.reassigned = 0
+        self.digest_failures = 0
 
     def dispatchable(self, now: float) -> bool:
         self.promote(now)
@@ -111,16 +113,16 @@ class _Batch:
             self.pending.extend(due)
 
     def complete(self) -> bool:
-        return self.done == len(self.items) or self.failure is not None
+        return self.remaining == 0 or self.failure is not None
 
 
 class Coordinator:
     """Work-queue coordinator for one or many :mod:`repro.fleet` workers.
 
     Thread model: one acceptor thread, one thread per worker connection,
-    one lease monitor.  ``map()`` runs on the caller's thread and blocks
-    until the batch completes; it is not reentrant (engines issue one
-    map at a time, exactly like the local engine).
+    one lease monitor.  :meth:`run` yields on the caller's thread; it is
+    not reentrant (engines issue one map at a time, exactly like the
+    local lanes).
     """
 
     def __init__(
@@ -128,12 +130,10 @@ class Coordinator:
         host: str = "127.0.0.1",
         port: int = 0,
         *,
-        cache: Optional[ResultCache] = None,
         heartbeat_timeout: float = 15.0,
         max_attempts: int = 4,
         retry_backoff: float = 0.25,
     ):
-        self.cache = cache
         self.heartbeat_timeout = heartbeat_timeout
         self.max_attempts = max_attempts
         self.retry_backoff = retry_backoff
@@ -272,7 +272,6 @@ class Coordinator:
                         "fn": batch.fn_ref,
                         "key": batch.keys[task],
                     }
-                    stats = batch.stats
                     break
                 self._cond.wait(0.25)
             else:  # pragma: no cover - unreachable
@@ -298,7 +297,7 @@ class Coordinator:
                 self._cond.notify_all()
             return False
         with self._cond:
-            stats.credit(worker.name, bytes_sent=sent)
+            batch.bytes_sent[worker.name] += sent
         return True
 
     def _release_lease(
@@ -324,12 +323,11 @@ class Coordinator:
                     or not 0 <= task < len(batch.items):
                 return
             self._release_lease(worker, task, requeue=False)
-            stats = batch.stats
             received = worker.frame.bytes_received - worker.recv_mark
             worker.recv_mark = worker.frame.bytes_received
-            stats.credit(worker.name, bytes_received=received)
+            batch.bytes_received[worker.name] += received
             if payload_digest(payload) != msg.get("digest"):
-                stats.digest_failures += 1
+                batch.digest_failures += 1
                 _log.warning(
                     "result for task %d from worker %s failed its "
                     "integrity digest; re-queueing the task",
@@ -350,38 +348,12 @@ class Coordinator:
                 # is sound — and required, to never double-count a cell
                 self._cond.notify_all()
                 return
-            batch.results[task] = pickle.loads(payload)
             batch.have[task] = True
-            batch.done += 1
-            cached = bool(msg.get("cached"))
-            wall = float(msg.get("wall") or 0.0)
-            if cached:
-                stats.cache_hits += 1
-                stats.credit(worker.name, cache_hits=1)
-            else:
-                batch.executed[task] = True
-                stats.run_walls[task] = wall
-                stats.run_wall += wall
-                dropped, sink_errors = trace_health(batch.results[task])
-                stats.trace_dropped += dropped
-                stats.trace_sink_errors += sink_errors
-                stats.credit(
-                    worker.name, tasks=1, run_wall=wall,
-                    trace_dropped=dropped,
-                    trace_sink_errors=sink_errors,
-                )
-                if dropped or sink_errors:
-                    # observability degraded on a remote run: say so on
-                    # the coordinator's stderr, not just in the lanes
-                    _log.warning(
-                        "worker %s: task %d ran with degraded tracing "
-                        "(%d event(s) dropped, %d sink(s) detached)",
-                        worker.name, task, dropped, sink_errors,
-                    )
-            if self.cache is not None and batch.keys[task] is not None:
-                self.cache.put_bytes(
-                    batch.keys[task], payload, msg.get("digest")
-                )
+            batch.remaining -= 1
+            batch.completions.append(Completion(
+                task, pickle.loads(payload), float(msg.get("wall") or 0.0),
+                worker.name, bool(msg.get("cached")), payload,
+            ))
             self._cond.notify_all()
 
     def _handle_error(self, worker: _Worker, msg: dict) -> None:
@@ -422,7 +394,7 @@ class Coordinator:
                 for task in sorted(worker.leased, reverse=True):
                     if not batch.have[task]:
                         batch.pending.appendleft(task)
-                        batch.stats.reassigned += 1
+                        batch.reassigned += 1
                         _log.warning(
                             "re-queueing task %d leased by dead worker %s",
                             task, worker.name,
@@ -458,78 +430,52 @@ class Coordinator:
                 # which re-queues the leases via _drop_worker
                 worker.frame.close()
 
-    # ------------------------------------------------------------- mapping
-    def map(
+    # ------------------------------------------------------------- running
+    def run(
         self,
         fn: Callable[[Any], Any],
         items: Sequence[Any],
-        *,
-        key_fn: Optional[Callable[[Any], str]] = None,
-        timeout: Optional[float] = None,
-    ) -> tuple[list[Any], EngineStats]:
-        """Run ``fn`` over ``items`` on the fleet; input-order results.
+        pending: list[int],
+        keys: list[Optional[str]],
+        stats: EngineStats,
+    ) -> Iterator[Completion]:
+        """Execute ``items[i]`` for ``i`` in ``pending`` on the fleet.
 
-        Identical contract to :meth:`repro.bench.parallel.RunEngine.map`
-        — including the coordinator-side cache short-circuit — plus the
-        lease/retry machinery documented on the class.
+        The fleet lane of :meth:`repro.bench.parallel.RunEngine.map`:
+        yields one :class:`Completion` per task as verified results
+        arrive, then credits the lane counters (bytes, reassignments,
+        digest failures) to ``stats``.
         """
-        t0 = time.perf_counter()
-        fn_ref = fn_reference(fn)
-        stats = EngineStats(jobs=max(1, len(self._workers)))
-        stats.runs = len(items)
-        stats.run_walls = [0.0] * len(items)
-        stats.run_instructions = [0] * len(items)
-
-        keys: list[Optional[str]] = [None] * len(items)
-        batch = _Batch(fn_ref, items, keys, stats)
-        pending: list[int] = []
-        for i, item in enumerate(items):
-            if key_fn is not None:
-                # keys travel with tasks even without a coordinator-side
-                # cache: workers use them for their local store
-                keys[i] = key_fn(item)
-            if self.cache is not None and keys[i] is not None:
-                hit = self.cache.get(keys[i])
-                if hit is not None:
-                    batch.results[i] = hit
-                    batch.have[i] = True
-                    batch.done += 1
-                    stats.cache_hits += 1
-                    stats.credit("coordinator", cache_hits=1)
-                    continue
-            pending.append(i)
-        batch.pending.extend(pending)
-
-        deadline = None if timeout is None else time.monotonic() + timeout
+        batch = _Batch(fn_reference(fn), items, keys, pending)
         with self._cond:
             if self._batch is not None:
-                raise RuntimeError("coordinator map() is not reentrant")
+                raise RuntimeError("coordinator run() is not reentrant")
             if self._shutdown:
                 raise RuntimeError("coordinator is shut down")
             self._batch = batch
             self._cond.notify_all()
-            try:
-                while not batch.complete():
-                    if deadline is not None \
-                            and time.monotonic() > deadline:
-                        raise TimeoutError(
-                            f"fleet map timed out with "
-                            f"{batch.done}/{len(items)} results"
-                        )
-                    self._cond.wait(0.5)
-            finally:
+        try:
+            while True:
+                with self._cond:
+                    while not (batch.completions or batch.complete()):
+                        self._cond.wait(0.5)
+                    ready = list(batch.completions)
+                    batch.completions.clear()
+                    finished = batch.complete()
+                yield from ready
+                if finished:
+                    break
+        finally:
+            with self._cond:
                 self._batch = None
         if batch.failure is not None:
             raise batch.failure
-
-        stats.executed = sum(batch.executed)
-        for i, ran in enumerate(batch.executed):
-            if ran:
-                gi = guest_instructions(batch.results[i])
-                stats.run_instructions[i] = gi
-                stats.guest_instructions += gi
-        stats.host_wall = time.perf_counter() - t0
-        return batch.results, stats
+        for name, sent in batch.bytes_sent.items():
+            stats.credit(name, bytes_sent=sent)
+        for name, received in batch.bytes_received.items():
+            stats.credit(name, bytes_received=received)
+        stats.reassigned += batch.reassigned
+        stats.digest_failures += batch.digest_failures
 
     # ------------------------------------------------------------ shutdown
     def shutdown(self, timeout: float = 10.0) -> None:

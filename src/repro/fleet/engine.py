@@ -1,13 +1,13 @@
-"""FleetEngine: the distributed drop-in behind the RunEngine seam.
+"""FleetEngine: the fleet lane behind the RunEngine seam.
 
 Every heavy path in the repo — the fig5–8 bench matrix, checker
 schedule campaigns, server soak cells, observability captures and the
-fault campaign — already fans out through
-:meth:`repro.bench.parallel.RunEngine.map`.  This class implements the
-same contract (``map``/``jobs``/``cache``/``stats``/``last_stats``/
-``close``) on top of a :class:`~repro.fleet.coordinator.Coordinator`,
-so swapping ``RunEngine.from_env()`` for a fleet engine changes *where*
-runs execute and nothing about what the reports say.
+fault campaign — fans out through
+:meth:`repro.bench.parallel.RunEngine.map`.  This subclass only swaps
+the execution lane: pending tasks go to a
+:class:`~repro.fleet.coordinator.Coordinator` instead of the inline or
+process-pool lane, so it changes *where* runs execute and nothing about
+keys, caching, stats or what the reports say.
 
 Two construction shapes:
 
@@ -16,8 +16,8 @@ Two construction shapes:
   harness shape).  The engine owns the processes and reaps them on
   :meth:`close`.
 * :meth:`FleetEngine.coordinate` — bind an address and wait for
-  externally started workers (``--fleet coordinator`` + ``--fleet
-  worker`` on other hosts).
+  externally started workers (``--fleet coordinator`` here, ``python -m
+  repro.fleet worker`` on other hosts).
 """
 
 from __future__ import annotations
@@ -26,9 +26,14 @@ import os
 import subprocess
 import sys
 import time
-from typing import Any, Callable, Optional, Sequence
+from typing import Any, Callable, Iterator, Optional, Sequence
 
-from repro.bench.parallel import EngineStats, ResultCache, RunEngine
+from repro.bench.parallel import (
+    Completion,
+    EngineStats,
+    ResultCache,
+    RunEngine,
+)
 from repro.fleet.coordinator import Coordinator
 
 __all__ = ["FleetEngine"]
@@ -52,14 +57,17 @@ def _worker_pythonpath() -> str:
 class FleetEngine(RunEngine):
     """A RunEngine whose execution lanes are fleet workers over TCP."""
 
+    ships_keys = True
+
     def __init__(
         self,
         coordinator: Coordinator,
         *,
         jobs: int = 1,
+        cache: Optional[ResultCache] = None,
         procs: Optional[Sequence[subprocess.Popen]] = None,
     ):
-        super().__init__(jobs=max(1, jobs), cache=coordinator.cache)
+        super().__init__(jobs=max(1, jobs), cache=cache)
         self.coordinator = coordinator
         self.procs: list[subprocess.Popen] = list(procs or [])
         self._closed = False
@@ -78,9 +86,7 @@ class FleetEngine(RunEngine):
         """Coordinator + ``workers`` loopback worker subprocesses."""
         if workers < 1:
             raise ValueError("a local fleet needs at least one worker")
-        coordinator = Coordinator(
-            cache=cache, heartbeat_timeout=heartbeat_timeout
-        )
+        coordinator = Coordinator(heartbeat_timeout=heartbeat_timeout)
         host, port = coordinator.address
         env = dict(os.environ)
         env["PYTHONPATH"] = _worker_pythonpath()
@@ -103,7 +109,7 @@ class FleetEngine(RunEngine):
                 proc.kill()
             coordinator.shutdown()
             raise
-        return cls(coordinator, jobs=workers, procs=procs)
+        return cls(coordinator, jobs=workers, cache=cache, procs=procs)
 
     @classmethod
     def coordinate(
@@ -116,7 +122,7 @@ class FleetEngine(RunEngine):
         startup_timeout: float = 600.0,
     ) -> "FleetEngine":
         """Bind ``host:port`` and wait for ``workers`` external workers."""
-        coordinator = Coordinator(host, port, cache=cache)
+        coordinator = Coordinator(host, port)
         bound_host, bound_port = coordinator.address
         print(
             f"fleet coordinator listening on {bound_host}:{bound_port}, "
@@ -128,22 +134,17 @@ class FleetEngine(RunEngine):
         except BaseException:
             coordinator.shutdown()
             raise
-        return cls(coordinator, jobs=workers)
+        return cls(coordinator, jobs=workers, cache=cache)
 
-    # ------------------------------------------------------------ mapping
-    def map(
+    def lane(
         self,
         fn: Callable[[Any], Any],
         items: Sequence[Any],
-        *,
-        key_fn: Optional[Callable[[Any], str]] = None,
-    ) -> list[Any]:
-        results, stats = self.coordinator.map(fn, items, key_fn=key_fn)
-        stats.jobs = self.jobs
-        self.last_stats = stats
-        self.stats.merge(stats)
-        self.stats.jobs = self.jobs
-        return results
+        pending: list[int],
+        keys: list[Optional[str]],
+        stats: EngineStats,
+    ) -> Iterator[Completion]:
+        return self.coordinator.run(fn, items, pending, keys, stats)
 
     # ----------------------------------------------------------- lifetime
     def close(self) -> None:
@@ -159,9 +160,3 @@ class FleetEngine(RunEngine):
             except subprocess.TimeoutExpired:
                 proc.kill()
                 proc.wait()
-
-    def __enter__(self) -> "FleetEngine":
-        return self
-
-    def __exit__(self, *exc: Any) -> None:
-        self.close()

@@ -1,40 +1,40 @@
-"""Fleet scaling measurement: the evidence artifact ``BENCH_fleet.json``.
+"""Lane scaling measurement: the evidence artifact ``BENCH_fleet.json``.
 
-Measures wall-clock of the fig5–8 bench matrix and a DPOR checker
-campaign through :class:`~repro.fleet.engine.FleetEngine` at several
-loopback worker counts, caches disabled everywhere so every number is a
-real execution.  The committed artifact records *measured* numbers for
-the host it ran on — including ``host_cpus``, because loopback workers
-can only speed a campaign up when the host has cores to run them on —
-plus an explicitly-labelled analytical projection:
+Measures host wall-clock of the fig5–8 bench matrix and a DPOR checker
+campaign at each lane count ``n`` under both parallel lanes of
+:meth:`~repro.bench.parallel.RunEngine.map` — the process pool
+(``jobs=n``; ``jobs=1`` is the serial inline lane) and the loopback
+fleet (``local:n``) — with caches disabled everywhere, so every number
+is a real execution.  The artifact records only measurements, together
+with ``host_cpus``: lanes can only speed a campaign up when the host
+has cores to run them on.
 
-    ``projected_wall(n) = run_wall(1) / n + coordinator_overhead``
+Each cell records the engine's own ``host_wall_s`` (time inside
+``map``) and ``campaign_wall_s`` (engine construction to close, the
+wall a CLI user sees: it includes spawning and draining the fleet's
+worker processes).
 
-where ``coordinator_overhead = host_wall(1) - run_wall(1)`` is the
-measured per-campaign cost of dispatch, pickling, transfer and reduce
-(serial on the coordinator, so it does not shrink with n).  On a
-single-core host the measured speedup is ~1.0 by physics; the CI
-``fleet-smoke`` job regenerates this artifact on a multi-core runner
-where measured and projected numbers can be compared directly.
-
-Report schema (``repro.bench.fleet-perf/1``)::
+Report schema (``repro.bench.fleet-perf/2``)::
 
     {
-      "schema": "repro.bench.fleet-perf/1",
-      "host_cpus": 4,
+      "schema": "repro.bench.fleet-perf/2",
+      "host_cpus": 2,
       "panels": ["5a", ...], "repetitions": 2, "seed": ...,
-      "scale": 1.0,
+      "scale": 1.0, "lanes": [1, 2],
       "bench": {
-        "workers=1": {"runs": 144, "host_wall_s": ..., "run_wall_s": ...,
-                       "bytes_sent": ..., "bytes_received": ...,
-                       "speedup_vs_1": 1.0}, ...
+        "jobs=1": {"runs": 144, "host_wall_s": ..., "run_wall_s": ...,
+                   "campaign_wall_s": ..., "bytes_sent": 0, ...},
+        "local:1": {...}, "jobs=2": {...}, "local:2": {...}
       },
-      "dpor": {"scenario": "handoff-trio", "workers=1": {...}, ...},
-      "measured": {"bench_speedup_4_vs_1": ..., "dpor_speedup_4_vs_1": ...},
-      "projection": {"model": ..., "coordinator_overhead_s": ...,
-                     "projected_bench_wall_4_s": ...,
-                     "projected_bench_speedup_4_vs_1": ...}
+      "dpor": {"scenario": "handoff-trio", "jobs=1": {...}, ...},
+      "measured": {"bench_speedup_2_vs_1": ..., "pool_bench_speedup_2_vs_1":
+                   ..., "bench_fleet_over_pool_2": ..., "dpor_...": ...}
     }
+
+``bench_speedup_N_vs_1`` is the fleet's own scaling (``local:N`` over
+``local:1``), ``pool_bench_speedup_N_vs_1`` the pool's, and
+``bench_fleet_over_pool_N`` the fleet's host wall as a multiple of the
+pool's at equal lanes.
 """
 
 from __future__ import annotations
@@ -42,14 +42,14 @@ from __future__ import annotations
 import json
 import os
 import time
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from repro.bench.figures import WRITE_RATIOS, bench_scale, run_panel
 from repro.bench.hostperf import DEFAULT_PANELS
-from repro.bench.parallel import EngineStats
+from repro.bench.parallel import RunEngine
 from repro.fleet.engine import FleetEngine
 
-SCHEMA = "repro.bench.fleet-perf/1"
+SCHEMA = "repro.bench.fleet-perf/2"
 DEFAULT_OUTPUT = "BENCH_fleet.json"
 DPOR_SCENARIO = "handoff-trio"
 
@@ -65,155 +65,115 @@ def _parse_panels(spec: Optional[str]):
     return [_parse_panel(p) for p in spec.split(",") if p.strip()]
 
 
-def _lane_totals(stats: EngineStats) -> dict:
-    sent = sum(rec["bytes_sent"] for rec in stats.workers.values())
-    received = sum(
-        rec["bytes_received"] for rec in stats.workers.values()
-    )
+def _engine(lane: str) -> RunEngine:
+    """An uncached engine for lane ``jobs=N`` (pool) or ``local:N``."""
+    if lane.startswith("local:"):
+        return FleetEngine.local(
+            int(lane[6:]), cache=None, worker_env=_NO_CACHE_ENV
+        )
+    return RunEngine(jobs=int(lane[5:]), cache=None)
+
+
+def _measure(lane: str, campaign: Callable[[RunEngine], str],
+             progress) -> dict:
+    t0 = time.perf_counter()
+    engine = _engine(lane)
+    try:
+        done = campaign(engine)
+    finally:
+        engine.close()
+    elapsed = time.perf_counter() - t0
+    stats = engine.stats
+    if progress is not None:
+        progress(f"[fleet-perf] {lane}: {done} in {elapsed:.1f}s")
     return {
         "runs": stats.runs,
         "host_wall_s": round(stats.host_wall, 3),
         "run_wall_s": round(stats.run_wall, 3),
-        "bytes_sent": sent,
-        "bytes_received": received,
+        "campaign_wall_s": round(elapsed, 3),
+        "bytes_sent": sum(
+            rec["bytes_sent"] for rec in stats.workers.values()
+        ),
+        "bytes_received": sum(
+            rec["bytes_received"] for rec in stats.workers.values()
+        ),
         "reassigned": stats.reassigned,
     }
 
 
-def _measure_bench(
-    workers: int, panels, repetitions: int, seed: int, progress
-) -> dict:
-    engine = FleetEngine.local(workers, cache=None,
-                               worker_env=_NO_CACHE_ENV)
-    try:
-        for panel in panels:
-            run_panel(
-                panel, repetitions=repetitions,
-                write_ratios=WRITE_RATIOS, seed=seed, engine=engine,
-            )
-            if progress is not None:
-                progress(
-                    f"[fleet-perf] bench workers={workers}: "
-                    f"{panel.figure}{panel.panel} done "
-                    f"({engine.last_stats.host_wall:.1f}s)"
-                )
-        return _lane_totals(engine.stats)
-    finally:
-        engine.close()
-
-
-def _measure_dpor(workers: int, progress) -> dict:
-    from repro.check.dpor import explore_dpor
-
-    engine = FleetEngine.local(workers, cache=None,
-                               worker_env=_NO_CACHE_ENV)
-    try:
-        t0 = time.perf_counter()
-        report = explore_dpor(DPOR_SCENARIO, engine=engine)
-        elapsed = time.perf_counter() - t0
-        if progress is not None:
-            progress(
-                f"[fleet-perf] dpor workers={workers}: "
-                f"{report.schedules} schedules in {elapsed:.1f}s"
-            )
-        cell = _lane_totals(engine.stats)
-        cell["campaign_wall_s"] = round(elapsed, 3)
-        cell["schedules"] = report.schedules
-        return cell
-    finally:
-        engine.close()
+def _ratio(num: float, den: float) -> float:
+    return round(num / den, 2) if den else 0.0
 
 
 def measure_fleet_perf(
     *,
-    worker_counts: Sequence[int] = (1, 2, 4),
+    worker_counts: Sequence[int] = (1, 2),
     repetitions: int = 2,
     seed: int = 0x5EED,
     panels: Optional[str] = None,
     include_dpor: bool = True,
     progress=None,
 ) -> dict:
-    """Sweep the fleet over ``worker_counts`` and assemble the report."""
+    """Measure pool and fleet at every lane count; assemble the report."""
     panel_list = _parse_panels(panels)
-    bench: dict[str, dict] = {}
-    dpor: dict[str, object] = {"scenario": DPOR_SCENARIO}
-    for n in worker_counts:
-        bench[f"workers={n}"] = _measure_bench(
-            n, panel_list, repetitions, seed, progress
-        )
-        if include_dpor:
-            dpor[f"workers={n}"] = _measure_dpor(n, progress)
 
-    report = {
+    def bench_campaign(engine: RunEngine) -> str:
+        for panel in panel_list:
+            run_panel(
+                panel, repetitions=repetitions,
+                write_ratios=WRITE_RATIOS, seed=seed, engine=engine,
+            )
+        return f"bench {len(panel_list)} panel(s)"
+
+    def dpor_campaign(engine: RunEngine) -> str:
+        from repro.check.dpor import explore_dpor
+
+        report = explore_dpor(DPOR_SCENARIO, engine=engine)
+        return f"dpor {report.schedules} schedules"
+
+    lanes = [
+        f"{kind}{n}" for n in worker_counts for kind in ("jobs=", "local:")
+    ]
+    bench = {lane: _measure(lane, bench_campaign, progress)
+             for lane in lanes}
+    dpor: dict[str, object] = {"scenario": DPOR_SCENARIO}
+    if include_dpor:
+        for lane in lanes:
+            dpor[lane] = _measure(lane, dpor_campaign, progress)
+
+    base = worker_counts[0]
+    measured: dict[str, float] = {}
+    sections = [("bench", bench, "host_wall_s")]
+    if include_dpor:
+        sections.append(("dpor", dpor, "campaign_wall_s"))
+    for name, cells, wall in sections:
+        for n in worker_counts[1:]:
+            measured[f"{name}_speedup_{n}_vs_{base}"] = _ratio(
+                cells[f"local:{base}"][wall], cells[f"local:{n}"][wall]
+            )
+            measured[f"pool_{name}_speedup_{n}_vs_{base}"] = _ratio(
+                cells[f"jobs={base}"][wall], cells[f"jobs={n}"][wall]
+            )
+        for n in worker_counts:
+            measured[f"{name}_fleet_over_pool_{n}"] = _ratio(
+                cells[f"local:{n}"][wall], cells[f"jobs={n}"][wall]
+            )
+
+    return {
         "schema": SCHEMA,
         "host_cpus": os.cpu_count() or 1,
         "panels": [f"{p.figure}{p.panel}" for p in panel_list],
         "repetitions": repetitions,
         "seed": seed,
         "scale": bench_scale(),
-        "worker_counts": list(worker_counts),
+        "lanes": list(worker_counts),
         "bench": bench,
         "dpor": dpor if include_dpor else None,
+        "measured": measured,
     }
-
-    base = bench.get(f"workers={worker_counts[0]}")
-    measured: dict[str, float] = {}
-    if base is not None:
-        for n in worker_counts[1:]:
-            cell = bench[f"workers={n}"]
-            if cell["host_wall_s"]:
-                measured[f"bench_speedup_{n}_vs_{worker_counts[0]}"] = (
-                    round(base["host_wall_s"] / cell["host_wall_s"], 2)
-                )
-        if include_dpor:
-            dbase = dpor.get(f"workers={worker_counts[0]}")
-            for n in worker_counts[1:]:
-                dcell = dpor.get(f"workers={n}")
-                if dbase and dcell and dcell["campaign_wall_s"]:
-                    measured[
-                        f"dpor_speedup_{n}_vs_{worker_counts[0]}"
-                    ] = round(
-                        dbase["campaign_wall_s"]
-                        / dcell["campaign_wall_s"], 2,
-                    )
-    report["measured"] = measured
-
-    if base is not None and base["run_wall_s"]:
-        overhead = max(0.0, base["host_wall_s"] - base["run_wall_s"])
-        projection = {
-            "model": "projected_wall(n) = run_wall(1)/n + "
-                     "coordinator_overhead; overhead = host_wall(1) - "
-                     "run_wall(1), measured, serial on the coordinator",
-            "coordinator_overhead_s": round(overhead, 3),
-        }
-        for n in worker_counts[1:]:
-            projected = base["run_wall_s"] / n + overhead
-            projection[f"projected_bench_wall_{n}_s"] = round(projected, 3)
-            projection[f"projected_bench_speedup_{n}_vs_1"] = round(
-                base["host_wall_s"] / projected, 2
-            )
-        projection["note"] = (
-            "projection assumes >= n idle cores; on a host with "
-            f"{os.cpu_count() or 1} cpu(s) the measured speedups above "
-            "are the ground truth for that host"
-        )
-        report["projection"] = projection
-    return report
 
 
 def write_fleet_perf(report: dict, path: str = DEFAULT_OUTPUT) -> None:
     with open(path, "w") as fh:
         json.dump(report, fh, indent=2, sort_keys=False)
         fh.write("\n")
-
-
-def load_fleet_perf(path: str = DEFAULT_OUTPUT) -> Optional[dict]:
-    """The committed artifact, or None when absent/unreadable/foreign."""
-    try:
-        with open(path) as fh:
-            report = json.load(fh)
-    except (OSError, ValueError):
-        return None
-    if not isinstance(report, dict) or report.get("schema") != SCHEMA:
-        return None
-    return report

@@ -41,6 +41,7 @@ from __future__ import annotations
 import json
 import socket
 import struct
+import sys
 import threading
 from typing import Any, Optional
 
@@ -68,10 +69,15 @@ def fn_reference(fn: Any) -> str:
 
     Fleet tasks cross host boundaries, so only module-level callables
     can be shipped — the same restriction the process pool already
-    imposes via pickling, made explicit here.
+    imposes via pickling, made explicit here.  A callable of a module
+    run with ``python -m`` is named by that module's import name, which
+    is what a worker can import.
     """
     module = getattr(fn, "__module__", None)
     qualname = getattr(fn, "__qualname__", None)
+    if module == "__main__":
+        spec = getattr(sys.modules["__main__"], "__spec__", None)
+        module = spec.name if spec is not None else None
     if not module or not qualname or "<locals>" in qualname:
         raise ValueError(
             f"fleet tasks need a module-level callable, got {fn!r}"

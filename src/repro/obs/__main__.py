@@ -18,7 +18,7 @@ Every subcommand runs its scenario through the same capture pipeline
 :class:`~repro.bench.parallel.RunEngine` — captures are cached on disk
 by content address, so re-rendering a different view of the same run is
 a cache hit, not a re-execution.  ``--fleet local:N`` / ``coordinator``
-/ ``worker`` route the same work over the distributed run fleet; every
+route the same work over the distributed run fleet; every
 artifact (episodes reports, checkpoint streams) is byte-identical
 whichever engine produced it.  Stdout is a pure function of the
 arguments; engine statistics go to stderr.
@@ -35,6 +35,7 @@ import argparse
 import json
 import sys
 
+from repro.fleet.cli import campaign_args, campaign_engine, print_stats
 from repro.obs.capture import ObsSpec, capture_with_engine
 from repro.obs.scenarios import scenarios
 
@@ -94,14 +95,6 @@ def _parser() -> argparse.ArgumentParser:
         help="print machine-readable JSON instead of tables",
     )
     parser.add_argument(
-        "--jobs", type=int, default=None,
-        help="worker processes (default REPRO_BENCH_JOBS; 1 = serial)",
-    )
-    parser.add_argument(
-        "--no-cache", action="store_true",
-        help="skip the on-disk capture cache for this invocation",
-    )
-    parser.add_argument(
         "--list", action="store_true",
         help="list scenario names and exit",
     )
@@ -133,23 +126,8 @@ def _parser() -> argparse.ArgumentParser:
         "--interval", type=int, default=None, metavar="SLICES",
         help="debug subcommand: scheduler slices between checkpoints",
     )
-    from repro.fleet.cli import add_fleet_args
-
-    add_fleet_args(parser)
+    campaign_args(parser)
     return parser
-
-
-def _engine(args):
-    from repro.bench.parallel import RunEngine
-    from repro.fleet.cli import resolve_fleet_engine
-
-    engine = RunEngine.from_env()
-    if args.jobs is not None:
-        engine = RunEngine(jobs=max(1, args.jobs), cache=engine.cache)
-    if args.no_cache:
-        engine = RunEngine(jobs=engine.jobs, cache=None)
-    fleet = resolve_fleet_engine(args, engine.cache)
-    return fleet if fleet is not None else engine
 
 
 def _cmd_list() -> int:
@@ -185,9 +163,9 @@ def _capture(args) -> dict:
         profile=not args.no_profile,
         write_pct=args.write_pct,
     )
-    engine = _engine(args)
-    artifact = capture_with_engine(spec, engine=engine)
-    print(engine.stats.render(), file=sys.stderr)
+    with campaign_engine(args) as engine:
+        artifact = capture_with_engine(spec, engine=engine)
+    print_stats(engine.stats)
     _warn_truncation(artifact)
     return artifact
 
@@ -268,10 +246,12 @@ def _cmd_episodes(args) -> int:
         report_bytes,
     )
 
-    engine = _engine(args)
     specs = _episode_specs(args)
-    artifacts = engine.map(execute_obs_spec, specs, key_fn=obs_spec_key)
-    print(engine.stats.render(), file=sys.stderr)
+    with campaign_engine(args) as engine:
+        artifacts = engine.map(
+            execute_obs_spec, specs, key_fn=obs_spec_key
+        )
+    print_stats(engine.stats)
     reports = {}
     for spec, artifact in zip(specs, artifacts):
         _warn_truncation(artifact)
@@ -308,11 +288,11 @@ def _cmd_debug(args) -> int:
         profile=not args.no_profile,
         write_pct=args.write_pct,
     )
-    engine = _engine(args)
-    recording = record_with_engine(
-        spec, interval=args.interval or DEFAULT_INTERVAL, engine=engine
-    )
-    print(engine.stats.render(), file=sys.stderr)
+    with campaign_engine(args) as engine:
+        recording = record_with_engine(
+            spec, interval=args.interval or DEFAULT_INTERVAL, engine=engine
+        )
+    print_stats(engine.stats)
     session = DebugSession(recording)
     if args.episode is not None:
         episode = session.seek_episode(args.episode)
@@ -399,10 +379,6 @@ def _cmd_summary(args, artifact: dict) -> int:
 
 def main(argv: list[str] | None = None) -> int:
     args = _parser().parse_args(argv)
-    if args.fleet == "worker":
-        from repro.fleet.cli import run_fleet_worker
-
-        return run_fleet_worker(args)
     if args.list:
         return _cmd_list()
     if args.command is None:

@@ -53,9 +53,6 @@ from repro.vm.snapshot import VMSnapshot, restore_vm, snapshot_vm
 from repro.vm.threads import ThreadState
 from repro.vm.vmcore import JVM, VMOptions
 
-#: checkpoint-stream schema version (cache payload format)
-CHECKPOINTS_FORMAT = "repro.obs.checkpoints/1"
-
 #: default scheduler slices between checkpoints: small enough that a
 #: seek re-executes a bounded gap, large enough that the stream stays
 #: O(run length / interval) snapshots
@@ -195,41 +192,6 @@ def recording_key(spec: ObsSpec, interval: int) -> str:
     from repro.bench.parallel import cache_key, source_digest
 
     return cache_key("obs-debug-ckpt", spec, interval, source_digest())
-
-
-def record_cached(
-    spec: ObsSpec, interval: int = DEFAULT_INTERVAL, cache=None
-) -> DebugRecording:
-    """:func:`record` through the content-addressed artifact store.
-
-    A hit restores the pickled checkpoint stream instead of re-running
-    the scenario; corrupt or foreign entries read as misses (the store
-    verifies its digest on read) and are transparently re-recorded.
-    """
-    if cache is None:
-        from repro.bench.parallel import _env_cache
-
-        cache = _env_cache()
-    if cache is None:
-        return record(spec, interval)
-    key = recording_key(spec, interval)
-    payload = cache.get(key)
-    if (
-        isinstance(payload, dict)
-        and payload.get("format") == CHECKPOINTS_FORMAT
-    ):
-        return payload["recording"]
-    recording = record(spec, interval)
-    cache.put(key, {
-        "format": CHECKPOINTS_FORMAT,
-        "scenario": spec.scenario,
-        "mode": spec.mode,
-        "seed": spec.seed,
-        "interval": interval,
-        "checkpoints": len(recording.checkpoints),
-        "recording": recording,
-    })
-    return recording
 
 
 def execute_debug_record(item: tuple[ObsSpec, int]) -> DebugRecording:

@@ -592,6 +592,23 @@ class _Emitter:
     def push(self, entry: _Sym) -> None:
         self.sym.append(entry)
 
+    def pop_cmp(self, op: int) -> tuple[str, bool]:
+        """Pop the operands of compare ``op``: ``(cond, negated)``.
+
+        Ordered compares are Python operators; ``EQ``/``NE`` go through
+        the guest-equality helper ``GEQ``, with ``negated`` set for NE.
+        """
+        b_ = self.pop()
+        a = self.pop()
+        if op in _CMP_EXPR:
+            return f"({a.expr}) {_CMP_EXPR[op]} ({b_.expr})", False
+        return f"GEQ({a.expr}, {b_.expr})", op == bc.NE
+
+    def branch_cond(self, op: int) -> str:
+        """The fused cmp+branch condition of compare ``op``."""
+        cond, negated = self.pop_cmp(op)
+        return f"not {cond}" if negated else cond
+
     def push_tmp(self, expr: str) -> str:
         """Evaluate ``expr`` into a temp now; push the temp."""
         t = self.newtmp()
@@ -758,14 +775,7 @@ class _Emitter:
             v = self.pop()
             self.push_tmp(f"0 if ({v.expr}) else 1")
         elif op in _CMP_EXPR or op == bc.EQ or op == bc.NE:
-            b_ = self.pop()
-            a = self.pop()
-            if op in _CMP_EXPR:
-                cond = f"({a.expr}) {_CMP_EXPR[op]} ({b_.expr})"
-                negated = False
-            else:
-                cond = f"GEQ({a.expr}, {b_.expr})"
-                negated = op == bc.NE
+            cond, negated = self.pop_cmp(op)
             if negated:
                 self.push_tmp(f"0 if {cond} else 1")
             else:
@@ -981,17 +991,8 @@ class _Predecoder:
                     # cmp+branch superinstruction: one conditional return,
                     # no 0/1 materialisation.  The branch is the block
                     # terminator by construction.
-                    b_ = em.pop()
-                    a = em.pop()
-                    if op in _CMP_EXPR:
-                        cond = f"({a.expr}) {_CMP_EXPR[op]} ({b_.expr})"
-                        negated = False
-                    else:
-                        cond = f"GEQ({a.expr}, {b_.expr})"
-                        negated = op == bc.NE
+                    cond = em.branch_cond(op)
                     taken, fall = nxt.a, pc + 2
-                    if negated:
-                        cond = f"not {cond}"
                     em.flush_batch()
                     em.flush_stack()
                     if nxt.op == bc.IF:

@@ -264,16 +264,7 @@ class _SuperCompiler:
                 if nxt is not None and nxt.op in (bc.IF, bc.IFNOT):
                     em.charge(ins)
                     em.charge(nxt)
-                    b_ = em.pop()
-                    a = em.pop()
-                    if op in _CMP_EXPR:
-                        cond = f"({a.expr}) {_CMP_EXPR[op]} ({b_.expr})"
-                        negated = False
-                    else:
-                        cond = f"GEQ({a.expr}, {b_.expr})"
-                        negated = op == bc.NE
-                    if negated:
-                        cond = f"not {cond}"
+                    cond = em.branch_cond(op)
                     self.pre._bump("cmp+branch")
                     self._branch(pc + 1, nxt, cond, hi)
                     return

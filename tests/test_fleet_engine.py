@@ -45,7 +45,7 @@ def thread_fleet(
     n: int = 2, *, cache=None, worker_caches=None, **coord_kw
 ) -> FleetEngine:
     """Coordinator + ``n`` in-process worker threads as a FleetEngine."""
-    coordinator = Coordinator(cache=cache, **coord_kw)
+    coordinator = Coordinator(**coord_kw)
     host, port = coordinator.address
     for i in range(n):
         kwargs = {"name": f"t{i + 1}"}
@@ -55,7 +55,7 @@ def thread_fleet(
             target=serve, args=(host, port), kwargs=kwargs, daemon=True
         ).start()
     coordinator.wait_for_workers(n, timeout=10)
-    return FleetEngine(coordinator, jobs=n)
+    return FleetEngine(coordinator, jobs=n, cache=cache)
 
 
 def tiny_panel(engine, monkeypatch):
@@ -192,6 +192,7 @@ class TestThreadFleet:
         the campaign: the result is discarded, counted, and the task
         re-dispatched until an honest answer arrives."""
         coordinator = Coordinator(retry_backoff=0.01)
+        engine = FleetEngine(coordinator)
         host, port = coordinator.address
         frame = connect(host, port)
         frame.send({"type": "hello", "worker": "evil", "pid": 0})
@@ -199,9 +200,7 @@ class TestThreadFleet:
         outcome = {}
 
         def campaign():
-            outcome["results"], outcome["stats"] = coordinator.map(
-                fleet_tasks.double, [21], timeout=30
-            )
+            outcome["results"] = engine.map(fleet_tasks.double, [21])
 
         runner = threading.Thread(target=campaign, daemon=True)
         runner.start()
@@ -242,7 +241,7 @@ class TestThreadFleet:
             runner.join(15)
             assert not runner.is_alive()
             assert outcome["results"] == [42]
-            assert outcome["stats"].digest_failures == 1
+            assert engine.last_stats.digest_failures == 1
         finally:
             frame.close()
             coordinator.shutdown()
@@ -270,6 +269,22 @@ class TestSubprocessFleet:
         assert render_panel(serial) == render_panel(cold)
         assert panel_json(serial) == panel_json(cold)
         assert panel_json(serial) == panel_json(warm)
+
+    def test_local_fleet_faults_campaign_matches_serial(self):
+        from repro.faults.campaign import run_campaign
+
+        serial = run_campaign(2, engine=RunEngine(jobs=1))
+        engine = FleetEngine.local(
+            2, worker_env={"REPRO_BENCH_CACHE": "0"}
+        )
+        try:
+            fleet = run_campaign(2, engine=engine)
+        finally:
+            engine.close()
+        assert engine.stats.executed == engine.stats.runs > 0
+        assert json.dumps(fleet, indent=2, sort_keys=True) == json.dumps(
+            serial, indent=2, sort_keys=True
+        )
 
     def test_worker_killed_mid_campaign_loses_nothing(self):
         """SIGKILL a worker while it holds leases: the coordinator

@@ -122,6 +122,41 @@ class TestFnReference:
         with pytest.raises(ValueError):
             fn_reference(local)
 
+    def test_main_module_named_by_its_import_name(self, monkeypatch):
+        """A task function of a CLI run as ``python -m pkg.mod`` lives in
+        ``__main__``; the worker must import ``pkg.mod`` instead."""
+        import sys
+        import types
+
+        from importlib.machinery import ModuleSpec
+
+        main = types.ModuleType("__main__")
+        main.__spec__ = ModuleSpec("repro.bench.parallel", None)
+        monkeypatch.setitem(sys.modules, "__main__", main)
+
+        def cell(x):
+            return x
+
+        cell.__module__ = "__main__"
+        cell.__qualname__ = "execute_spec"
+        assert fn_reference(cell) == "repro.bench.parallel:execute_spec"
+
+    def test_main_script_rejected(self, monkeypatch):
+        import sys
+        import types
+
+        main = types.ModuleType("__main__")
+        main.__spec__ = None
+        monkeypatch.setitem(sys.modules, "__main__", main)
+
+        def cell(x):
+            return x
+
+        cell.__module__ = "__main__"
+        cell.__qualname__ = "cell"
+        with pytest.raises(ValueError):
+            fn_reference(cell)
+
     def test_malformed_reference_raises(self):
         with pytest.raises(ProtocolError):
             resolve_fn("no-colon-here")

@@ -9,10 +9,8 @@ import pytest
 from repro.check.oracle import final_fingerprint, fingerprint_digest
 from repro.obs.capture import ObsSpec, capture_run
 from repro.obs.debug import (
-    CHECKPOINTS_FORMAT,
     DebugSession,
     record,
-    record_cached,
     record_with_engine,
     recording_key,
     render_state,
@@ -161,15 +159,14 @@ def test_render_state_one_screen(recording):
 
 # --------------------------------------------------- store / engine lanes
 def test_record_cached_roundtrip(tmp_path):
-    from repro.bench.parallel import ResultCache
+    from repro.bench.parallel import ResultCache, RunEngine
 
-    cache = ResultCache(tmp_path)
-    first = record_cached(SPEC, interval=32, cache=cache)
-    key = recording_key(SPEC, 32)
-    stored = cache.get(key)
-    assert stored["format"] == CHECKPOINTS_FORMAT
-    assert stored["checkpoints"] == len(first.checkpoints)
-    second = record_cached(SPEC, interval=32, cache=cache)
+    engine = RunEngine(jobs=1, cache=ResultCache(tmp_path))
+    first = record_with_engine(SPEC, 32, engine=engine)
+    stored = engine.cache.get(recording_key(SPEC, 32))
+    assert len(stored.checkpoints) == len(first.checkpoints)
+    second = record_with_engine(SPEC, 32, engine=engine)
+    assert engine.last_stats.cache_hits == 1
     assert second.artifact == first.artifact
     assert second.boundaries == first.boundaries
     assert len(second.checkpoints) == len(first.checkpoints)

@@ -60,13 +60,11 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from repro.check.explorer import (
-    CHECK_CYCLE_CAP,
-    CHECK_VM_SEED,
     DEFAULT_MODES,
     CheckItem,
     ExplorationReport,
-    _inject_plan,
     check_cell_key,
+    check_vm_options,
     run_check_cell,
     summarize_results,
 )
@@ -80,9 +78,8 @@ from repro.errors import (
     StarvationError,
     UncaughtGuestException,
 )
-from repro.vm.clock import CostModel
 from repro.vm.snapshot import VMSnapshot, restore_vm, snapshot_vm
-from repro.vm.vmcore import JVM, VMOptions
+from repro.vm.vmcore import JVM
 
 #: take a full VM snapshot at stack depths divisible by this; states in
 #: between are repositioned by replaying their recorded choices from the
@@ -209,7 +206,7 @@ class SteppingRun:
     :meth:`checkpoint` can capture it and :meth:`resume` can later clone
     an independent continuation positioned at the same decision.
 
-    Runs use the exact :func:`repro.check.explorer.run_schedule` VM
+    Runs use the :func:`repro.check.explorer.check_vm_options` VM
     configuration plus tracing (memory tracing forces the untranslated
     block table — exploration needs per-location events), so a schedule
     found here replays identically through the normal cell pipeline.
@@ -224,18 +221,10 @@ class SteppingRun:
         interp: Optional[str] = None,
         trace_memory: bool = True,
     ) -> None:
-        overrides = dict(scenario.options)
-        overrides["trace"] = True
-        overrides["trace_memory"] = trace_memory
-        if interp is not None:
-            overrides["interp"] = interp
-        options = VMOptions(
-            mode=mode,
-            seed=CHECK_VM_SEED,
-            cost_model=CostModel(quantum=1),
-            max_cycles=CHECK_CYCLE_CAP,
-            faults=_inject_plan(inject),
-            **overrides,
+        extra = {} if interp is None else {"interp": interp}
+        options = check_vm_options(
+            scenario, mode, inject=inject,
+            trace=True, trace_memory=trace_memory, **extra,
         )
         vm = JVM(options)
         scenario_workload(scenario).install(vm)

@@ -166,6 +166,41 @@ def _inject_plan(inject: Optional[str]):
     )
 
 
+def check_vm_options(
+    scenario: CheckScenario,
+    mode: str,
+    *,
+    inject: Optional[str] = None,
+    **extra,
+) -> VMOptions:
+    """The VM configuration of every schedule-checker run: the fixed check
+    seed, a one-cycle quantum (every yield point is a decision), the
+    livelock cap, the injected bug, then the scenario's options and
+    ``extra`` (tracing for DPOR and replays), later keys winning."""
+    return VMOptions(
+        mode=mode,
+        seed=CHECK_VM_SEED,
+        cost_model=CostModel(quantum=1),
+        max_cycles=CHECK_CYCLE_CAP,
+        faults=_inject_plan(inject),
+        **{**scenario.options, **extra},
+    )
+
+
+def run_outcome(vm: JVM) -> str:
+    """Run ``vm`` to quiescence and classify how it ended: ``completed``,
+    ``deadlock``, ``starvation`` or ``uncaught:<class>``."""
+    try:
+        vm.run()
+    except DeadlockError:
+        return "deadlock"
+    except StarvationError:
+        return "starvation"
+    except UncaughtGuestException as exc:
+        return f"uncaught:{exc.exc_class}"
+    return "completed"
+
+
 def run_schedule(
     scenario: CheckScenario,
     mode: str,
@@ -174,27 +209,10 @@ def run_schedule(
     inject: Optional[str] = None,
 ) -> tuple[JVM, str]:
     """Run one scenario under one policy, scheduled by ``controller``."""
-    options = VMOptions(
-        mode=mode,
-        seed=CHECK_VM_SEED,
-        cost_model=CostModel(quantum=1),
-        max_cycles=CHECK_CYCLE_CAP,
-        faults=_inject_plan(inject),
-        **scenario.options,
-    )
-    vm = JVM(options)
+    vm = JVM(check_vm_options(scenario, mode, inject=inject))
     scenario_workload(scenario).install(vm)
     vm.scheduler.decision_hook = controller
-    outcome = "completed"
-    try:
-        vm.run()
-    except DeadlockError:
-        outcome = "deadlock"
-    except StarvationError:
-        outcome = "starvation"
-    except UncaughtGuestException as exc:
-        outcome = f"uncaught:{exc.exc_class}"
-    return vm, outcome
+    return vm, run_outcome(vm)
 
 
 @dataclass(frozen=True)

@@ -23,11 +23,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Optional
 
-from repro.errors import (
-    DeadlockError,
-    StarvationError,
-    UncaughtGuestException,
+from repro.check.explorer import (
+    CHECK_VM_SEED,
+    ScheduleController,
+    check_vm_options,
+    run_outcome,
 )
+from repro.check.scenarios import get_scenario as get_check_scenario
 from repro.obs.export import (
     chrome_trace_bytes,
     folded_stacks,
@@ -94,35 +96,45 @@ class _CounterSampler:
         samples.append((now, value))
 
 
-def capture_run(spec: ObsSpec) -> dict[str, Any]:
-    """Run one scenario and return the complete artifact bundle."""
+def _observed(
+    options: VMOptions,
+) -> tuple[JVM, SpanBuilder, _CounterSampler]:
+    """A VM with the online span builder and the counter sampler
+    attached."""
+    vm = JVM(options)
+    builder = SpanBuilder()
+    vm.tracer.add_sink(builder)
+    sampler = _CounterSampler()
+    vm.slice_hooks.append(sampler)
+    return vm, builder, sampler
+
+
+def build_capture_vm(
+    spec: ObsSpec,
+) -> tuple[JVM, SpanBuilder, _CounterSampler]:
+    """The VM of one capture, scenario installed, not yet run.  Shared by
+    :func:`capture_run` and the time-travel debugger's
+    :func:`repro.obs.debug.record`, so recordings and captures never
+    drift."""
     scenario = get_scenario(spec.scenario)
     overrides = dict(scenario.options)
     overrides.setdefault("max_cycles", CAPTURE_CYCLE_CAP)
-    options = VMOptions(
+    vm, builder, sampler = _observed(VMOptions(
         mode=spec.mode,
         seed=spec.seed,
         interp=spec.interp,
         trace=True,
         profile=spec.profile,
         **overrides,
-    )
-    vm = JVM(options)
-    builder = SpanBuilder()
-    vm.tracer.add_sink(builder)
-    sampler = _CounterSampler()
-    vm.slice_hooks.append(sampler)
+    ))
     scenario.install(vm, spec.seed, spec.write_pct)
-    outcome = "completed"
-    try:
-        vm.run()
-    except DeadlockError:
-        outcome = "deadlock"
-    except StarvationError:
-        outcome = "starvation"
-    except UncaughtGuestException as exc:
-        outcome = f"uncaught:{exc.exc_class}"
-    return _package(spec, vm, builder, sampler, outcome)
+    return vm, builder, sampler
+
+
+def capture_run(spec: ObsSpec) -> dict[str, Any]:
+    """Run one scenario and return the complete artifact bundle."""
+    vm, builder, sampler = build_capture_vm(spec)
+    return _package(spec, vm, builder, sampler, run_outcome(vm))
 
 
 def _package(
@@ -207,32 +219,12 @@ def build_replay_vm(
     replay, decision hook armed with the minimized choice prefix.
     Shared by :func:`capture_replay` and the time-travel debugger's
     :func:`repro.obs.debug.record_replay`."""
-    from repro.check.explorer import (
-        CHECK_CYCLE_CAP,
-        CHECK_VM_SEED,
-        ScheduleController,
-        _inject_plan,
-    )
-    from repro.check.scenarios import get_scenario as get_check_scenario
-    from repro.vm.clock import CostModel
-
     mode = mode or payload["modes"][0]
     scenario = get_check_scenario(payload["scenario"])
-    options = VMOptions(
-        mode=mode,
-        seed=CHECK_VM_SEED,
-        cost_model=CostModel(quantum=1),
-        max_cycles=CHECK_CYCLE_CAP,
-        faults=_inject_plan(payload.get("inject")),
-        trace=True,
-        profile=True,
-        **scenario.options,
-    )
-    vm = JVM(options)
-    builder = SpanBuilder()
-    vm.tracer.add_sink(builder)
-    sampler = _CounterSampler()
-    vm.slice_hooks.append(sampler)
+    vm, builder, sampler = _observed(check_vm_options(
+        scenario, mode, inject=payload.get("inject"),
+        trace=True, profile=True,
+    ))
     scenario.build().install(vm)
     vm.scheduler.decision_hook = ScheduleController(
         tuple(payload["minimized_schedule"])
@@ -258,16 +250,7 @@ def capture_replay(
     defaults to the counterexample's reference policy.
     """
     spec, vm, builder, sampler = build_replay_vm(payload, mode)
-    outcome = "completed"
-    try:
-        vm.run()
-    except DeadlockError:
-        outcome = "deadlock"
-    except StarvationError:
-        outcome = "starvation"
-    except UncaughtGuestException as exc:
-        outcome = f"uncaught:{exc.exc_class}"
-    return _package(spec, vm, builder, sampler, outcome)
+    return _package(spec, vm, builder, sampler, run_outcome(vm))
 
 
 # ------------------------------------------------------- RunEngine adapter

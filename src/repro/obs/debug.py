@@ -12,8 +12,8 @@ target and deterministically re-executing the gap.  ``step`` / ``until``
 move forward; ``back`` restores and re-executes to the previous
 quiescent point — time travel without ever running the clock backwards.
 
-The recording reuses the exact ``capture_run`` construction
-(:mod:`repro.obs.capture`), so its artifact bundle — spans, profile,
+The recording builds its VM with ``capture_run``'s own builder
+(:func:`repro.obs.capture.build_capture_vm`), so its artifact bundle — spans, profile,
 metrics — is byte-identical to a plain capture of the same spec; the
 seek-fidelity tests pin that a seek-then-run-to-end reproduces the
 straight run's clock, trace, metrics and fingerprint exactly.
@@ -42,16 +42,16 @@ from repro.errors import (
     UncaughtGuestException,
 )
 from repro.obs.capture import (
-    CAPTURE_CYCLE_CAP,
     ObsSpec,
     _CounterSampler,
     _package,
+    build_capture_vm,
+    build_replay_vm,
 )
-from repro.obs.scenarios import get_scenario
 from repro.obs.spans import SpanBuilder
 from repro.vm.snapshot import VMSnapshot, restore_vm, snapshot_vm
 from repro.vm.threads import ThreadState
-from repro.vm.vmcore import JVM, VMOptions
+from repro.vm.vmcore import JVM
 
 #: default scheduler slices between checkpoints: small enough that a
 #: seek re-executes a bounded gap, large enough that the stream stays
@@ -86,36 +86,13 @@ class DebugRecording:
         return build_report(self.artifact)
 
 
-def _build_vm(spec: ObsSpec) -> tuple[JVM, SpanBuilder, _CounterSampler]:
-    """Exactly ``capture_run``'s VM construction — one definition of
-    what a capture is, so recordings and captures never drift."""
-    scenario = get_scenario(spec.scenario)
-    overrides = dict(scenario.options)
-    overrides.setdefault("max_cycles", CAPTURE_CYCLE_CAP)
-    options = VMOptions(
-        mode=spec.mode,
-        seed=spec.seed,
-        interp=spec.interp,
-        trace=True,
-        profile=spec.profile,
-        **overrides,
-    )
-    vm = JVM(options)
-    builder = SpanBuilder()
-    vm.tracer.add_sink(builder)
-    sampler = _CounterSampler()
-    vm.slice_hooks.append(sampler)
-    scenario.install(vm, spec.seed, spec.write_pct)
-    return vm, builder, sampler
-
-
 def record(
     spec: ObsSpec, interval: int = DEFAULT_INTERVAL
 ) -> DebugRecording:
     """Run ``spec`` to quiescence, checkpointing every ``interval``
     slices; returns the recording (artifact byte-identical to
     :func:`repro.obs.capture.capture_run` of the same spec)."""
-    vm, builder, sampler = _build_vm(spec)
+    vm, builder, sampler = build_capture_vm(spec)
     return _record_loop(spec, vm, builder, sampler, interval)
 
 
@@ -129,8 +106,6 @@ def record_replay(
     carries the minimized decision prefix; every restore re-arms the
     scheduler's decision hook at the checkpoint's decision index, so
     seeks reproduce the counterexample schedule exactly."""
-    from repro.obs.capture import build_replay_vm
-
     spec, vm, builder, sampler = build_replay_vm(payload, mode)
     return _record_loop(
         spec, vm, builder, sampler, interval,

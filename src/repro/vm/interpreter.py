@@ -24,8 +24,10 @@ One dispatch loop, two block-table sources
 decoding an instruction it consults the method's block table:
 ``blocks[pc]`` is a compiled basic block starting at ``pc`` and, after a
 yield point, ``superblocks[pc]`` a compiled loop trace anchored there.
-A block runs a straight-line run in one Python call and is charged with
-two additions; a ``None`` entry sends the pc through the per-instruction
+A block runs a fused run in one Python call; it and a superblock both
+hand back their unflushed cycles and instruction count through the ``A``
+cells (and a faulting pc through ``F``), which the loop adds to its own
+accumulators.  A ``None`` entry sends the pc through the per-instruction
 dispatch chain.  The table source is chosen once, at construction:
 
 * ``interp="fast"`` — :func:`repro.vm.predecode.predecode_method`
@@ -204,10 +206,11 @@ class Interpreter:
         faults = vm.fault_plane
         profiler = vm.profiler
         tables = self._tables
-        F = [0]  # fault cell: pc of the op a block was executing when it raised
-        # dynamic-cost cells: A[0] carries barrier cycles accrued inside a
-        # block; superblocks use both cells to hand back the partial
-        # iteration's unflushed (cycles, instructions) on a trace exit.
+        # hand-back cells of generated code (blocks and superblocks): on
+        # every exit and guest exception, A holds the unit's unflushed
+        # (cycles, instructions); on a guest exception F[0] holds the pc
+        # of the op that raised.
+        F = [0]
         A = [0, 0]
 
         while True:  # outer loop: re-entered on frame switch / exceptions
@@ -236,25 +239,15 @@ class Interpreter:
                     # ------------------------- predecoded block dispatch
                     b = blocks[pc]
                     if b is not None:
-                        acc += b.cost
-                        icount += b.count
                         try:
                             pc = b.fn(stack, locals_, F, A, thread)
                         except GuestRuntimeError:
-                            # repair the pre-charge: drop the cost/count of
-                            # the instructions after the faulting one, keep
-                            # any barrier cycles accrued before the fault,
-                            # and resume exception dispatch at its pc.
-                            fpc = F[0] if b.raising else b.start
-                            k = fpc - b.start
-                            acc -= b.suffix_cost[k]
-                            icount -= b.suffix_count[k]
-                            if b.dynamic:
-                                acc += A[0]
-                            pc = fpc
-                            raise
-                        if b.dynamic:
                             acc += A[0]
+                            icount += A[1]
+                            pc = F[0]
+                            raise
+                        acc += A[0]
+                        icount += A[1]
                         continue
 
                     ins = code[pc]
@@ -303,9 +296,9 @@ class Interpreter:
                         # -------------------- superblock trace dispatch
                         # Entered only once every hoisted yield-point
                         # check is provably constant for the whole run
-                        # (see repro.vm.tracecomp); the accumulators are
-                        # zero here (just flushed), so the trace owns all
-                        # charging until it hands back through A/F.
+                        # (see repro.vm.tracecomp).  It commits whole
+                        # iterations itself and hands back the partial
+                        # one exactly as a block does.
                         sb = supers[pc]
                         if (
                             sb is not None
@@ -318,19 +311,14 @@ class Interpreter:
                                 r = sb.fn(stack, locals_, F, A, thread,
                                           pending_wake())
                             except GuestRuntimeError:
-                                # completed iterations are committed; the
-                                # partial one continues as if the chain
-                                # had been accumulating it all along.
-                                acc = A[0]
-                                icount = A[1]
+                                acc += A[0]
+                                icount += A[1]
                                 pc = F[0]
                                 raise
                             if r >= 0:
-                                # branch out of the loop: resume normal
-                                # dispatch at the exit target with the
-                                # partial iteration's unflushed charges.
-                                acc = A[0]
-                                icount = A[1]
+                                # branch out of the loop
+                                acc += A[0]
+                                icount += A[1]
                                 pc = r
                                 continue
                             # preemption or due wake-up at the back edge

@@ -1,4 +1,4 @@
-"""Predecode: translate linked bytecode into fused basic-block closures.
+"""Predecode: translate linked bytecode into fused basic blocks.
 
 The dispatch loop (:meth:`repro.vm.interpreter.Interpreter._execute`)
 spends almost all of its host time decoding guest instructions one at a
@@ -7,15 +7,18 @@ for straight-line code, as the block-table source of ``interp="fast"``:
 at first execution of a method it discovers *fusable runs* — maximal
 sequences of opcodes that can never flush the virtual clock, park the
 thread, or emit a trace event — and compiles each run into one Python
-function (a basic-block superinstruction).  The block carries its summed
-static cycle cost and instruction count, so the interpreter charges a
-whole block with two additions instead of one dispatch per instruction
-(*basic-block cost batching*).
+function (a basic-block superinstruction).
 
-The entire method — every basic block plus the superblocks the trace
-compiler (:mod:`repro.vm.tracecomp`) forms over its loops — is generated
-as one Python module source and compiled in a single ``compile`` pass
-(*method-level translation*).
+One lowering generates every unit.  :class:`_Lowering` turns a region's
+forward control flow into nested ``if`` arms over the symbolic-stack
+:class:`_Emitter` (the one place each fusable opcode is translated).  A
+basic block ``[start, end)`` is that lowering followed by an exit to
+``end``; a superblock (:mod:`repro.vm.tracecomp`) is the same lowering
+of a loop body inside an iteration loop, commit and guard wrapper.
+
+The entire method — every basic block plus the superblocks over its
+loops — is generated as one Python module source and compiled in a
+single ``compile`` pass (*method-level translation*).
 
 Translation happens once per process, not once per VM.  The compiled
 module is a *translation template*: a pure function of the method's
@@ -54,18 +57,18 @@ invariants that make this safe:
   never include a yield point.  Every clock flush, preemption check,
   revocation delivery, fault-injection probe and trace event therefore
   happens at exactly the pcs the reference uses.
-* Cost batching is exact, not approximate: the block's static cost equals
-  the sum the reference would accrue into its ``acc`` local between the
-  same two flush points, and dynamic (write/read barrier) cycles are
-  accumulated into a side cell the interpreter folds into ``acc`` after
-  the block returns — mirroring the reference's ``acc +=
-  support.before_store(...)`` lines.
-* Guest exceptions thrown mid-block are repaired precisely: before every
-  op that can raise a :class:`~repro.errors.GuestRuntimeError` the block
-  stores that op's pc into a fault cell, and the interpreter subtracts
-  the pre-charged cost/count of the not-executed block suffix before
-  dispatching the exception.  The operand stack needs no repair because
-  JVM exception dispatch clears it (handlers in the same frame) or
+* One cycle hand-back protocol, exact rather than approximate: static
+  costs are charged lazily into the generated ``acc``/``ic`` locals —
+  before each op that can raise (that op's own cost included, as the
+  reference charges before executing), at control-flow splits and at
+  exits — and dynamic (barrier) cycles accrue into ``acc`` as the
+  reference's ``acc += support.before_store(...)`` lines do.  Every op
+  that can raise a :class:`~repro.errors.GuestRuntimeError` first
+  stores its pc into ``F[0]``.  On every exit and every guest
+  exception a unit hands back its unflushed ``(cycles, instructions)``
+  in ``A[0]``/``A[1]``, which the dispatch loop adds to its own
+  accumulators.  The operand stack needs no repair because JVM
+  exception dispatch clears it (handlers in the same frame) or
   discards the frame.
 * Heap ops go through the *same* seams as the reference — ``require_ref``,
   ``VMObject.get/put``, ``Heap.get_static/put_static``,
@@ -76,12 +79,12 @@ invariants that make this safe:
   ``support.before_store_batch`` call (*batched write barriers*); the
   heap mutations themselves stay in place, only the logging/costing calls
   coalesce, and the batch is flushed before every point at which its
-  effects could be observed (fault sites, read barriers, block exits).
+  effects could be observed (fault sites, read barriers, exits).
 
 Superinstruction patterns recognised during code generation:
 
 * ``cmp+branch``: a comparison feeding a forward branch compiles to one
-  conditional ``return`` with no intermediate 0/1 materialisation;
+  ``if`` on the comparison with no intermediate 0/1 materialisation;
 * ``const+div``/``const+mod``: division by a non-zero integer constant
   skips the zero-divisor test;
 * ``alu+store``: a STORE whose value was computed in-block writes the
@@ -184,40 +187,21 @@ class _Sym:
 class BasicBlock:
     """A compiled fusable run ``[start, end)`` of one method's code."""
 
-    __slots__ = (
-        "start", "end", "cost", "count", "fn", "dynamic", "raising",
-        "suffix_cost", "suffix_count", "source",
-    )
+    __slots__ = ("start", "end", "count", "fn", "source")
 
-    def __init__(self, start: int, end: int, cost: int, count: int,
-                 fn, dynamic: bool, raising: bool,
-                 suffix_cost: tuple, suffix_count: tuple, source: str):
+    def __init__(self, start: int, end: int, fn, source: str):
         self.start = start
         self.end = end
-        #: summed static cycle cost of all instructions in the run
-        self.cost = cost
         #: number of guest instructions in the run
-        self.count = count
+        self.count = end - start
         #: ``fn(stack, locals_, F, A, T) -> next pc`` (bound by the
         #: method-level compile after all sources are collected)
         self.fn = fn
-        #: True when the block accrues dynamic barrier cycles into ``A[0]``
-        self.dynamic = dynamic
-        #: True when the block can raise a GuestRuntimeError (uses ``F[0]``)
-        self.raising = raising
-        #: ``suffix_cost[k]``: static cost of instructions *after* relative
-        #: index ``k`` — subtracted when instruction ``start+k`` faults.
-        self.suffix_cost = suffix_cost
-        self.suffix_count = suffix_count
         #: generated Python source (debugging / ``Inspector`` dumps)
         self.source = source
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"<BasicBlock [{self.start},{self.end}) cost={self.cost} "
-            f"count={self.count} dynamic={self.dynamic} "
-            f"raising={self.raising}>"
-        )
+        return f"<BasicBlock [{self.start},{self.end})>"
 
 
 class DecodedMethod:
@@ -273,7 +257,7 @@ class _Template:
         self.ncells = ncells
         #: superinstruction pattern counts
         self.stats = stats
-        #: :class:`BasicBlock` constructor arguments (``fn`` None)
+        #: :class:`BasicBlock` ``(start, end, source)`` triples
         self.blocks = blocks
         #: :class:`~repro.vm.tracecomp.SuperBlock` ``(anchor, head,
         #: source)`` triples
@@ -452,10 +436,10 @@ def _bind(template: _Template, vm, method: MethodDef) -> DecodedMethod:
     if template.code is not None:
         ns = _namespace(vm, template.consts, template.ncells)
         exec(template.code, ns)
-        for args in template.blocks:
-            block = BasicBlock(*args)
-            block.fn = ns.pop(f"_b{block.start}")
-            blocks[block.start] = block
+        for start, end, source in template.blocks:
+            blocks[start] = BasicBlock(
+                start, end, ns.pop(f"_b{start}"), source
+            )
         for anchor, head, source in template.supers:
             superblocks[anchor] = SuperBlock(
                 anchor, head, ns.pop(f"_s{anchor}"), source
@@ -531,42 +515,29 @@ def _fusable(ins, fuse_heap: bool) -> bool:
 
 # -------------------------------------------------------------- code gen
 class _Emitter:
-    """Symbolic-stack code generator shared by the basic-block compiler
-    and the superblock trace compiler (:mod:`repro.vm.tracecomp`).
+    """Symbolic-stack code generator behind every generated unit, basic
+    block and superblock alike (driven by :class:`_Lowering`).
 
-    Two modes, differing only in cost accounting:
+    Static costs are charged lazily: accumulated at codegen time into
+    ``pending_cost``/``pending_count`` and flushed into the generated
+    ``acc``/``ic`` locals before any op that can raise (including that
+    op's own cost, mirroring the reference's charge-before-execute
+    order), at control-flow splits and at exits.  ``acc``/``ic``
+    therefore hold exactly the reference interpreter's unflushed
+    accumulators at every point control or a guest exception can leave
+    the unit, with no repair table needed.  Dynamic (barrier) cycles
+    accrue into ``acc`` directly.
 
-    ``"block"``
-        Dynamic barrier/read-barrier cycles accrue into the ``A[0]`` side
-        cell; static costs are *not* emitted — the interpreter charges
-        the block's precomputed total up front and repairs faults through
-        the suffix arrays.
-
-    ``"super"``
-        Static costs are charged lazily: accumulated at codegen time into
-        ``pending_cost``/``pending_count`` and flushed into the generated
-        ``acc``/``ic`` locals before any op that can raise (including
-        that op's own cost, mirroring the reference's charge-before-
-        execute order), at control-flow splits, and at iteration
-        boundaries.  ``acc``/``ic`` therefore hold exactly the reference
-        interpreter's unflushed accumulators at every point a guest
-        exception can escape, with no repair table needed.  Dynamic
-        cycles accrue into ``acc`` directly.
-
-    In both modes consecutive barrier stores batch into one deferred
+    Consecutive barrier stores batch into one deferred
     ``before_store_batch`` call, flushed before any observation point.
     """
 
-    def __init__(self, owner: "_Predecoder", mode: str):
+    def __init__(self, owner: "_Predecoder"):
         self.owner = owner
-        self.mode = mode
-        self.acc = "A[0]" if mode == "block" else "acc"
         self.lines: list[str] = []
         self.sym: list[_Sym] = []
         self.indent = 1
         self.tmp = 0
-        self.raising = False
-        self.dynamic = False
         self.pending_cost = 0
         self.pending_count = 0
         #: deferred (container, slot, old_value, volatile) expression
@@ -638,11 +609,9 @@ class _Emitter:
 
     # ------------------------------------------------------------- costing
     def charge(self, ins) -> None:
-        """Accumulate ``ins``'s static cost (superblock mode only; block
-        costs are charged by the interpreter from the block totals)."""
-        if self.mode == "super":
-            self.pending_cost += ins.cost
-            self.pending_count += 1
+        """Accumulate ``ins``'s static cost, emitted at the next flush."""
+        self.pending_cost += ins.cost
+        self.pending_count += 1
 
     def flush_charges(self) -> None:
         """Emit the pending static charges into ``acc``/``ic``."""
@@ -658,15 +627,14 @@ class _Emitter:
         batch = self.batch
         if not batch:
             return
-        self.dynamic = True
         if len(batch) == 1:
             c, s, o, v = batch[0]
-            self.emit(f"{self.acc} += BS(T, {c}, {s}, {o}, {v})")
+            self.emit(f"acc += BS(T, {c}, {s}, {o}, {v})")
         else:
             entries = ", ".join(
                 f"({c}, {s}, {o}, {v})" for c, s, o, v in batch
             )
-            self.emit(f"{self.acc} += BSB(T, ({entries}))")
+            self.emit(f"acc += BSB(T, ({entries}))")
         del batch[:]
 
     def barrier_store(self, container: str, slot: str, old: str,
@@ -675,21 +643,18 @@ class _Emitter:
 
     def read_barrier(self, container: str, slot: str, volatile: str) -> None:
         self.flush_batch()  # keep jmm write/read ordering exact
-        self.dynamic = True
-        self.emit(f"{self.acc} += AL(T, {container}, {slot}, {volatile})")
+        self.emit(f"acc += AL(T, {container}, {slot}, {volatile})")
 
     def set_fault(self, pc: int) -> None:
         """Mark ``pc`` as the next possible guest-fault site.
 
         Flushes the barrier batch (the reference has already run those
-        barriers when this op raises) and, in superblock mode, the
-        pending static charges *including this op's own cost* — matching
-        the reference's charge-before-execute order, so ``acc``/``ic``
-        are exact at the raise."""
+        barriers when this op raises) and the pending static charges
+        *including this op's own cost* — matching the reference's
+        charge-before-execute order, so ``acc``/``ic`` are exact at the
+        raise."""
         self.flush_batch()
-        if self.mode == "super":
-            self.flush_charges()
-        self.raising = True
+        self.flush_charges()
         self.emit(f"F[0] = {pc}")
 
     # --------------------------------------------------------- cache cells
@@ -722,9 +687,8 @@ class _Emitter:
         """Generate code for one non-branch fusable op.
 
         Branches (and comparisons fused into them) are control flow and
-        stay with the drivers: the block compiler turns them into
-        ``return`` terminators, the superblock structurizer into nested
-        ``if`` statements.
+        stay with :class:`_Lowering`, which turns them into nested ``if``
+        statements and hand-back exits.
         """
         op = ins.op
         owner = self.owner
@@ -898,8 +862,183 @@ class _Emitter:
             self.emit(f"    {cv} = CLSO({name_expr})")
             self.emit(f"    C[{j}] = {cv}")
             self.push(_Sym(cv))
-        else:  # pragma: no cover - drivers filter non-fusable ops
+        else:  # pragma: no cover - the lowering filters non-fusable ops
             raise AssertionError(f"non-fusable op {op} in run")
+
+
+# -------------------------------------------------------------- lowering
+class _Unstructured(Exception):
+    """Control flow the lowering cannot express as nested ``if``
+    statements; not an error — the region just stays un-fused."""
+
+
+class _Lowering:
+    """Lower the forward control flow of one region ``[lo, hi]`` of a
+    method to straight-line Python with nested ``if`` arms.
+
+    Control reaching ``hi`` falls off the end of :meth:`_gen` into the
+    caller's continuation: a basic block's hand-back exit to ``hi``, a
+    superblock's loop back-edge.  A branch to a pc outside the region
+    leaves through :meth:`_exit`.  Every generated unit hands back to
+    the dispatch loop the same way: its unflushed ``(cycles,
+    instructions)`` in ``A[0]``/``A[1]`` on every exit and on every
+    :class:`~repro.errors.GuestRuntimeError`, whose pc is in ``F[0]``.
+    """
+
+    def __init__(self, pre: "_Predecoder", lo: int, hi: int):
+        self.pre = pre
+        self.code = pre.method.code
+        self.lo = lo
+        self.hi = hi
+        self.em = _Emitter(pre)
+
+    # ------------------------------------------------------------ exits
+    def _commit(self) -> None:
+        """Emit what runs on every exit before the hand-back (nothing
+        for a basic block; superblocks commit completed iterations)."""
+
+    def _handback(self) -> None:
+        self.em.emit("A[0] = acc")
+        self.em.emit("A[1] = ic")
+
+    def _guarded(self, body) -> None:
+        """Generate ``body`` under the guest-exception hand-back."""
+        em = self.em
+        em.emit("try:")
+        em.indent += 1
+        body()
+        em.indent -= 1
+        em.emit("except GRE:")
+        em.indent += 1
+        self._commit()
+        self._handback()
+        em.emit("raise")
+        em.indent -= 1
+
+    def _exit(self, target: int) -> None:
+        """Leave the region for ``target``: hand the unflushed
+        accumulators to the dispatcher."""
+        em = self.em
+        em.flush_batch()
+        em.flush_charges()
+        em.flush_stack()
+        self._commit()
+        self._handback()
+        em.emit(f"return {target}")
+
+    def _arm(self, header: str, body) -> None:
+        """Emit ``header``, generate ``body`` indented under it, and close
+        the arm with the batch/charge/stack flushes a join requires."""
+        em = self.em
+        em.flush_batch()
+        em.flush_charges()
+        em.flush_stack()
+        em.emit(header)
+        em.indent += 1
+        before = len(em.lines)
+        body()
+        em.flush_batch()
+        em.flush_charges()
+        em.flush_stack()
+        if len(em.lines) == before:
+            em.emit("pass")  # e.g. an arm of only zero-pending charges
+        em.indent -= 1
+
+    def _outside(self, target: int) -> bool:
+        """True when ``target`` leaves the region entirely."""
+        return target < self.lo or target > self.hi
+
+    # ----------------------------------------------------------- lowering
+    def _gen(self, lo: int, hi: int) -> None:
+        """Lower ``[lo, hi)``; control falls off the end into the caller's
+        continuation."""
+        em = self.em
+        code = self.code
+        pc = lo
+        while pc < hi:
+            ins = code[pc]
+            op = ins.op
+
+            if op in _CMP_EXPR or op == bc.EQ or op == bc.NE:
+                nxt = code[pc + 1] if pc + 1 < hi else None
+                if nxt is not None and nxt.op in (bc.IF, bc.IFNOT):
+                    # cmp+branch superinstruction: the comparison is the
+                    # branch condition, no 0/1 materialisation
+                    em.charge(ins)
+                    em.charge(nxt)
+                    cond = em.branch_cond(op)
+                    self.pre._bump("cmp+branch")
+                    self._branch(pc + 1, nxt, cond, hi)
+                    return
+                em.charge(ins)
+                em.emit_op(pc, ins)
+            elif op == bc.IF or op == bc.IFNOT:
+                em.charge(ins)
+                v = em.pop()
+                self._branch(pc, ins, v.expr, hi)
+                return
+            elif op == bc.GOTO:
+                g = ins.a
+                if g == hi and pc + 1 == hi:
+                    em.charge(ins)
+                    return  # jump to the join the caller generates next
+                if self._outside(g) and pc + 1 == hi:
+                    em.charge(ins)
+                    self._exit(g)
+                    return
+                # a join-skipping GOTO with trailing code, or a forward
+                # jump into the middle of the region: the trailing code
+                # may be a branch target this linear lowering cannot
+                # represent — leave the region un-fused.
+                raise _Unstructured
+            else:
+                em.charge(ins)
+                em.emit_op(pc, ins)
+            pc += 1
+
+    def _branch(self, bpc: int, ins, cond: str, hi: int) -> None:
+        """Lower a forward IF/IFNOT at ``bpc`` (condition already popped;
+        its cost already charged)."""
+        code = self.code
+        L = ins.a
+        f = bpc + 1
+        taken = cond if ins.op == bc.IF else f"not ({cond})"
+        nottaken = f"not ({cond})" if ins.op == bc.IF else cond
+
+        if L == f:
+            # degenerate branch to its own fall-through: no split
+            self._gen(f, hi)
+            return
+        if L == hi:
+            # if_then: the taken path jumps straight to the join
+            self._arm(f"if {nottaken}:", lambda: self._gen(f, hi))
+            return
+        if self._outside(L):
+            # exit on the taken path; fall-through stays in the region
+            self._arm(f"if {taken}:", lambda: self._exit(L))
+            self._gen(f, hi)
+            return
+        if f < L < hi:
+            prev = code[L - 1]
+            if (prev.op == bc.GOTO and isinstance(prev.a, int)
+                    and L < prev.a <= hi):
+                # diamond: else-arm [f, L-1) ends in GOTO join; then-arm
+                # [L, J); both meet at J
+                J = prev.a
+
+                def else_arm() -> None:
+                    self._gen(f, L - 1)
+                    self.em.charge(prev)  # the join-skipping GOTO
+
+                self._arm(f"if {taken}:", lambda: self._gen(L, J))
+                self._arm("else:", else_arm)
+                self._gen(J, hi)
+                return
+            # one-armed skip: taken jumps over [f, L)
+            self._arm(f"if {nottaken}:", lambda: self._gen(f, L))
+            self._gen(L, hi)
+            return
+        raise _Unstructured
 
 
 # -------------------------------------------------------------- compiler
@@ -925,7 +1064,7 @@ class _Predecoder:
         method = self.method
         leaders = find_leaders(method)
         blocks = [
-            self._compile(start, end)
+            self._block(start, end)
             for start, end in find_runs(method, leaders, self.fuse_heap)
         ]
         supers = compile_superblocks(self)
@@ -944,11 +1083,7 @@ class _Predecoder:
             tuple(self.consts),
             self.cells,
             self.stats,
-            tuple(
-                (b.start, b.end, b.cost, b.count, None, b.dynamic,
-                 b.raising, b.suffix_cost, b.suffix_count, b.source)
-                for b in blocks
-            ),
+            tuple((b.start, b.end, b.source) for b in blocks),
             tuple((s.anchor, s.head, s.source) for s in supers),
         )
 
@@ -975,92 +1110,29 @@ class _Predecoder:
         self.stats[pattern] = self.stats.get(pattern, 0) + 1
 
     # ------------------------------------------------------------- codegen
-    def _compile(self, start: int, end: int) -> BasicBlock:
-        code = self.method.code
-        em = _Emitter(self, "block")
+    def _block(self, start: int, end: int) -> BasicBlock:
+        """Lower the fusable run ``[start, end)`` as a region followed by
+        a hand-back exit to ``end``.  Fused branches are forward and end
+        the run, so every branch target is the join ``end`` or lies
+        outside the run: the lowering never meets an unstructured
+        block."""
+        low = _Lowering(self, start, end)
+        em = low.em
+        em.emit("acc = 0")
+        em.emit("ic = 0")
 
-        exit_pc: Optional[str] = None  # set when a branch terminator returns
-        pc = start
-        while pc < end:
-            ins = code[pc]
-            op = ins.op
+        def body() -> None:
+            low._gen(start, end)
+            last = self.method.code[end - 1]
+            if last.op != bc.GOTO or last.a == end:
+                low._exit(end)  # else the GOTO already left the run
 
-            if op in _CMP_EXPR or op == bc.EQ or op == bc.NE:
-                nxt = code[pc + 1] if pc + 1 < end else None
-                if nxt is not None and nxt.op in (bc.IF, bc.IFNOT):
-                    # cmp+branch superinstruction: one conditional return,
-                    # no 0/1 materialisation.  The branch is the block
-                    # terminator by construction.
-                    cond = em.branch_cond(op)
-                    taken, fall = nxt.a, pc + 2
-                    em.flush_batch()
-                    em.flush_stack()
-                    if nxt.op == bc.IF:
-                        em.emit(f"return {taken} if {cond} else {fall}")
-                    else:
-                        em.emit(f"return {fall} if {cond} else {taken}")
-                    self._bump("cmp+branch")
-                    exit_pc = "fused"
-                    pc += 2
-                    break
-                em.emit_op(pc, ins)
-            elif op == bc.GOTO:
-                em.flush_batch()
-                em.flush_stack()
-                em.emit(f"return {ins.a}")
-                exit_pc = "fused"
-                pc += 1
-                break
-            elif op == bc.IF or op == bc.IFNOT:
-                v = em.pop()
-                em.flush_batch()
-                em.flush_stack()
-                taken, fall = ins.a, pc + 1
-                if op == bc.IF:
-                    em.emit(f"return {taken} if {v.expr} else {fall}")
-                else:
-                    em.emit(f"return {fall} if {v.expr} else {taken}")
-                exit_pc = "fused"
-                pc += 1
-                break
-            else:
-                em.emit_op(pc, ins)
-            pc += 1
-
-        if exit_pc is None:
-            em.flush_batch()
-            em.flush_stack()
-            em.emit(f"return {end}")
-        run = code[start:end]
-        return self._finish(start, end, run, em)
-
-    def _finish(self, start: int, end: int, run, em: _Emitter) -> BasicBlock:
-        lines = em.lines
-        if em.dynamic:
-            lines.insert(0, "    A[0] = 0")
-        name = f"_b{start}"
-        body = "\n".join(lines)
-        source = f"def {name}(stack, locals_, F, A, T):\n{body}\n"
-
-        cost = sum(ins.cost for ins in run)
-        count = len(run)
-        # suffix arrays for mid-block fault repair: entry k holds the
-        # cost/count of the instructions strictly after relative index k.
-        suffix_cost = []
-        suffix_count = []
-        tail_cost = 0
-        tail_count = 0
-        for ins in reversed(run):
-            suffix_cost.append(tail_cost)
-            suffix_count.append(tail_count)
-            tail_cost += ins.cost
-            tail_count += 1
-        suffix_cost.reverse()
-        suffix_count.reverse()
-        return BasicBlock(
-            start, end, cost, count, None, em.dynamic, em.raising,
-            tuple(suffix_cost), tuple(suffix_count), source,
+        low._guarded(body)
+        source = (
+            f"def _b{start}(stack, locals_, F, A, T):\n"
+            + "\n".join(em.lines) + "\n"
         )
+        return BasicBlock(start, end, None, source)
 
 
 def render_decoded(dm: DecodedMethod) -> str:
@@ -1071,11 +1143,7 @@ def render_decoded(dm: DecodedMethod) -> str:
         f"superinstructions={dm.superinstructions or {}}"
     ]
     for b in dm.block_list:
-        out.append(
-            f"-- block [{b.start},{b.end}) cost={b.cost} count={b.count}"
-            f"{' dynamic' if b.dynamic else ''}"
-            f"{' raising' if b.raising else ''}"
-        )
+        out.append(f"-- block [{b.start},{b.end}) count={b.count}")
         out.append(b.source.rstrip())
     for s in dm.superblock_list:
         out.append(

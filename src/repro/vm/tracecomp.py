@@ -17,10 +17,12 @@ A superblock is anchored at a backward unconditional ``GOTO`` yield point
 is fusable (:func:`repro.vm.predecode._fusable`): no yield points, no
 parking/trace-emitting ops, heap ops excluded under ``trace_memory``.
 Backward branches are yield points by construction, so the body contains
-only *forward* control flow, which the structurizer lowers to nested
-``if`` statements; anything it cannot prove structured
-(:class:`_Unstructured`) simply stays un-fused — superblock coverage,
-like block coverage, can only affect speed, never behaviour.
+only *forward* control flow, which the lowering shared with basic
+blocks (:class:`repro.vm.predecode._Lowering`) turns into nested ``if``
+statements; anything it cannot nest
+(:class:`~repro.vm.predecode._Unstructured`) simply stays un-fused —
+superblock coverage, like block coverage, can only affect speed, never
+behaviour.
 
 The guard-and-commit protocol
 -----------------------------
@@ -65,34 +67,19 @@ Exits:
 * **starvation** — commit, raise :class:`~repro.errors.StarvationError`
   (not a guest error: it passes through every guest handler, as in the
   reference);
-* **branch out of the loop** — commit the *completed* iterations, hand
-  the partial iteration's unflushed ``acc``/``ic`` back through the
-  ``A`` cells and return the target pc, where normal dispatch continues
-  accumulating;
-* **guest exception** — commit completed iterations, hand back the
-  partial accumulators (cost model: charge-before-execute, so the
-  faulting op is included) and the faulting pc through ``F[0]``; the
-  dispatcher re-raises into the chain's exception path.
-
-Static costs are charged lazily at code-generation time: a pending
-(cost, count) pair accrues per emitted instruction and is flushed into
-the ``acc``/``ic`` locals before any op that can raise, at control-flow
-splits, and at iteration boundaries — so the locals equal the
-chain's unflushed accumulators at every observable escape point
-without per-instruction arithmetic in the common case.
+* **branch out of the loop** and **guest exception** — commit the
+  completed iterations, then hand the partial iteration back exactly as
+  a basic block does (the hand-back protocol of
+  :mod:`repro.vm.predecode`): its unflushed ``acc``/``ic`` in the ``A``
+  cells, the target pc as the return value or the faulting pc in
+  ``F[0]``; the dispatcher continues accumulating from there or
+  re-raises into the chain's exception path.
 """
 
 from __future__ import annotations
 
-from typing import Optional
-
 from repro.vm import bytecode as bc
-from repro.vm.predecode import _CMP_EXPR, _Emitter, _fusable
-
-
-class _Unstructured(Exception):
-    """Loop body control flow the structurizer cannot lower; not an
-    error — the loop just stays block-at-a-time."""
+from repro.vm.predecode import _Lowering, _Unstructured, _fusable
 
 
 class SuperBlock:
@@ -141,17 +128,15 @@ def compile_superblocks(pre) -> list[SuperBlock]:
     return out
 
 
-class _SuperCompiler:
-    """Lower one loop body to a generated iteration-batching function."""
+class _SuperCompiler(_Lowering):
+    """Lower one loop body inside the iteration-batching loop, commit and
+    guard wrapper."""
 
     def __init__(self, pre, head: int, anchor: int):
-        self.pre = pre
-        self.code = pre.method.code
+        super().__init__(pre, head, anchor)
         self.head = head
         self.anchor = anchor
-        self.em = _Emitter(pre, "super")
 
-    # ------------------------------------------------------------ framework
     def compile(self) -> SuperBlock:
         em = self.em
         em.emit("n0 = CLK.now")
@@ -162,8 +147,14 @@ class _SuperCompiler:
         em.emit("dn = 0")
         em.emit("de = 0")
         em.emit("di = 0")
-        em.emit("try:")
-        em.indent += 1
+        self._guarded(self._loop)
+        name = f"_s{self.anchor}"
+        body = "\n".join(em.lines)
+        source = f"def {name}(stack, locals_, F, A, T, PW):\n{body}\n"
+        return SuperBlock(self.anchor, self.head, None, source)
+
+    def _loop(self) -> None:
+        em = self.em
         em.emit("while True:")
         em.indent += 1
         em.emit("acc = 0")
@@ -181,159 +172,22 @@ class _SuperCompiler:
         if self.pre.bounded:
             em.emit("if n0 + dn > cap:")
             em.indent += 1
-            self._writeback()
+            self._commit()
             em.emit("raise SERR(cap)")
             em.indent -= 1
         em.emit("if qu + dn >= quantum or PW <= n0 + dn:")
         em.indent += 1
-        self._writeback()
+        self._commit()
         em.emit("A[0] = 0")
         em.emit("A[1] = 0")
         em.emit("return -1")
         em.indent -= 1
         em.indent -= 1  # while
-        em.indent -= 1  # try
-        em.emit("except GRE:")
-        em.indent += 1
-        self._writeback()
-        em.emit("A[0] = acc")
-        em.emit("A[1] = ic")
-        em.emit("raise")
-        em.indent -= 1
 
-        name = f"_s{self.anchor}"
-        body = "\n".join(em.lines)
-        source = f"def {name}(stack, locals_, F, A, T, PW):\n{body}\n"
-        return SuperBlock(self.anchor, self.head, None, source)
-
-    def _writeback(self) -> None:
+    def _commit(self) -> None:
+        """Fold the completed iterations into the clock and the thread."""
         em = self.em
         em.emit("CLK.commit_batch(dn, de)")
         em.emit("T.cycles_executed += dn")
         em.emit("T.quantum_used += dn")
         em.emit("T.instructions_executed += di")
-
-    def _exit(self, target: int) -> None:
-        """Leave the trace mid-iteration for ``target`` (outside the
-        loop): commit completed iterations, hand the partial iteration's
-        accumulators to the dispatcher."""
-        em = self.em
-        em.flush_batch()
-        em.flush_charges()
-        em.flush_stack()
-        self._writeback()
-        em.emit("A[0] = acc")
-        em.emit("A[1] = ic")
-        em.emit(f"return {target}")
-
-    def _arm(self, header: str, body) -> None:
-        """Emit ``header``, generate ``body`` indented under it, and close
-        the arm with the batch/charge/stack flushes a join requires."""
-        em = self.em
-        em.flush_batch()
-        em.flush_charges()
-        em.flush_stack()
-        em.emit(header)
-        em.indent += 1
-        before = len(em.lines)
-        body()
-        em.flush_batch()
-        em.flush_charges()
-        em.flush_stack()
-        if len(em.lines) == before:
-            em.emit("pass")  # e.g. an arm of only zero-pending charges
-        em.indent -= 1
-
-    def _outside(self, target: int) -> bool:
-        """True when ``target`` leaves the loop region entirely."""
-        return target < self.head or target > self.anchor
-
-    # ------------------------------------------------------------- lowering
-    def _gen(self, lo: int, hi: int) -> None:
-        """Lower ``[lo, hi)``; control falls off the end into the caller's
-        continuation (the loop back-edge when ``hi == anchor``)."""
-        em = self.em
-        code = self.code
-        pc = lo
-        while pc < hi:
-            ins = code[pc]
-            op = ins.op
-
-            if op in _CMP_EXPR or op == bc.EQ or op == bc.NE:
-                nxt = code[pc + 1] if pc + 1 < hi else None
-                if nxt is not None and nxt.op in (bc.IF, bc.IFNOT):
-                    em.charge(ins)
-                    em.charge(nxt)
-                    cond = em.branch_cond(op)
-                    self.pre._bump("cmp+branch")
-                    self._branch(pc + 1, nxt, cond, hi)
-                    return
-                em.charge(ins)
-                em.emit_op(pc, ins)
-            elif op == bc.IF or op == bc.IFNOT:
-                em.charge(ins)
-                v = em.pop()
-                self._branch(pc, ins, v.expr, hi)
-                return
-            elif op == bc.GOTO:
-                g = ins.a
-                if g == hi and pc + 1 == hi:
-                    em.charge(ins)
-                    return  # jump to the join the caller generates next
-                if self._outside(g) and pc + 1 == hi:
-                    em.charge(ins)
-                    self._exit(g)
-                    return
-                # a join-skipping GOTO with trailing code, or a forward
-                # jump into the middle of the region: the trailing code
-                # may be a branch target this linear lowering cannot
-                # represent — leave the loop un-fused.
-                raise _Unstructured
-            else:
-                em.charge(ins)
-                em.emit_op(pc, ins)
-            pc += 1
-
-    def _branch(self, bpc: int, ins, cond: str, hi: int) -> None:
-        """Lower a forward IF/IFNOT at ``bpc`` (condition already popped;
-        its cost already charged)."""
-        code = self.code
-        L = ins.a
-        f = bpc + 1
-        taken = cond if ins.op == bc.IF else f"not ({cond})"
-        nottaken = f"not ({cond})" if ins.op == bc.IF else cond
-
-        if L == f:
-            # degenerate branch to its own fall-through: no split
-            self._gen(f, hi)
-            return
-        if L == hi:
-            # if_then: the taken path jumps straight to the join
-            self._arm(f"if {nottaken}:", lambda: self._gen(f, hi))
-            return
-        if self._outside(L):
-            # loop exit on the taken path; fall-through stays in the body
-            self._arm(f"if {taken}:", lambda: self._exit(L))
-            self._gen(f, hi)
-            return
-        if f < L < hi:
-            prev = code[L - 1]
-            if (prev.op == bc.GOTO and isinstance(prev.a, int)
-                    and L < prev.a <= hi):
-                # diamond: else-arm [f, L-1) ends in GOTO join; then-arm
-                # [L, J); both meet at J
-                J = prev.a
-
-                def else_arm() -> None:
-                    self._gen(f, L - 1)
-                    self.em.charge(prev)  # the join-skipping GOTO
-
-                self._arm(f"if {taken}:", lambda: self._gen(L, J))
-                self._arm("else:", else_arm)
-                self._gen(J, hi)
-                return
-            # one-armed skip: taken jumps over [f, L)
-            self._arm(f"if {nottaken}:", lambda: self._gen(f, L))
-            self._gen(L, hi)
-            return
-        raise _Unstructured

@@ -212,11 +212,71 @@ def _exception_workloads():
         a.const(3).const(1).sub()
         a.const(1).const(0).mod()               # uncaught: kills the thread
 
+    # Every fusable op that can raise, faulting first, in the middle and
+    # last in its fused run: the unit must hand back exactly the charges
+    # the chain accrued up to and including the faulting op.  A yield
+    # point (never fused) before or after the op makes it start or end
+    # its run.  Each entry: (exception, push operands, the op).
+    raising = {
+        "div": ("ArithmeticException",
+                lambda a, v: a.load(v["x"]).load(v["zero"]),
+                lambda a: a.div()),
+        "mod": ("ArithmeticException",
+                lambda a, v: a.load(v["x"]).load(v["zero"]),
+                lambda a: a.mod()),
+        "getfield": ("NullPointerException",
+                     lambda a, v: a.const(None),
+                     lambda a: a.getfield("x")),
+        "putfield": ("NullPointerException",
+                     lambda a, v: a.const(None).load(v["x"]),
+                     lambda a: a.putfield("x")),
+        "aload": ("ArrayIndexOutOfBoundsException",
+                  lambda a, v: a.load(v["arr"]).const(9),
+                  lambda a: a.aload()),
+        "astore": ("ArrayIndexOutOfBoundsException",
+                   lambda a, v: a.load(v["arr"]).const(9).load(v["x"]),
+                   lambda a: a.astore()),
+        "arraylen": ("NullPointerException",
+                     lambda a, v: a.const(None),
+                     lambda a: a.arraylen()),
+        "newarray": ("NegativeArraySizeException",
+                     lambda a, v: a.const(-1),
+                     lambda a: a.newarray(0)),
+    }
+
+    def fault_at(op: str, position: str):
+        exc, operands, fault = raising[op]
+
+        def emit(a: Asm) -> None:
+            v = {name: a.local(name) for name in ("x", "zero", "arr")}
+            a.const(7).store(v["x"]).const(0).store(v["zero"])
+            a.const(4).newarray(0).store(v["arr"])
+
+            def body():
+                if position != "first":
+                    a.const(3).const(4).mul().putstatic("Exc", "out")
+                operands(a, v)
+                if position == "first":
+                    a.yield_()
+                fault(a)
+                if position == "last":
+                    a.yield_()
+                a.const(5).const(6).add().store(v["x"])
+            def on_fault():
+                a.pop()
+                a.const(13).putstatic("Exc", "err")
+            a.try_(body, catches=[(exc, on_fault)])
+        return emit
+
     return [
         ("div-zero", guest(div_zero)),
         ("array-oob", guest(array_oob)),
         ("npe", guest(npe)),
         ("uncaught", guest(uncaught)),
+    ] + [
+        (f"{op}-{position}", guest(fault_at(op, position)))
+        for op in raising
+        for position in ("first", "middle", "last")
     ]
 
 

@@ -28,9 +28,9 @@ def recording():
 def straight():
     """The same spec run straight to the end, no checkpoints — the
     reference timeline every seek must land back on."""
-    from repro.obs.debug import _build_vm
+    from repro.obs.capture import build_capture_vm
 
-    vm, _, _ = _build_vm(SPEC)
+    vm, _, _ = build_capture_vm(SPEC)
     vm.begin_run()
     while vm.scheduler.step():
         pass

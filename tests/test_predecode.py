@@ -2,16 +2,19 @@
 
 The parity suite (``test_interp_parity.py``) proves the fast interpreter
 is observationally identical to the reference; these tests pin the
-*structure* the predecoder produces — where blocks start and end, that
-cost batching is the exact sum of per-instruction link costs, that the
-fault-repair suffix arrays are right, which superinstructions fire, and
+*structure* the predecoder produces — where blocks start and end, that a
+block hands back exactly the summed link costs of the instructions it
+ran (on return and on a guest fault), which superinstructions fire, and
 that the cache lifecycle (lazy build, invalidation, no leak through
 ``MethodDef.copy``) behaves.
 """
 
 from __future__ import annotations
 
+import pytest
+
 from conftest import build_class, make_vm
+from repro.errors import GuestRuntimeError
 from repro.vm import bytecode as bc
 from repro.vm.assembler import Asm
 from repro.vm.predecode import (
@@ -76,21 +79,24 @@ def test_backward_branch_is_yield_point_and_never_fused() -> None:
 
 
 # ------------------------------------------------------- block accounting
-def test_block_cost_is_exact_sum_and_suffixes_match() -> None:
+def _handback(block) -> tuple:
+    """Run ``block`` alone: ``(next pc, A, stack)``."""
+    stack: list = []
+    F, A = [None], [None, None]
+    nxt = block.fn(stack, [], F, A, None)
+    return nxt, A, stack
+
+
+def test_block_hands_back_the_exact_cost_sum() -> None:
     def emit(a: Asm) -> None:
         a.const(2).const(3).add().const(4).mul().pop()
 
     vm, m = _linked(emit)
     dm = predecode_method(vm, m)
     (b,) = dm.block_list
-    assert (b.start, b.end) == (0, 6)
-    run = m.code[0:6]
-    assert b.cost == sum(ins.cost for ins in run)
-    assert b.count == 6
-    # suffix_cost[k] = static cost strictly after relative index k
-    for k in range(6):
-        assert b.suffix_cost[k] == sum(ins.cost for ins in run[k + 1:])
-        assert b.suffix_count[k] == 6 - (k + 1)
+    assert (b.start, b.end, b.count) == (0, 6, 6)
+    assert dm.superinstructions == {}
+    assert _handback(b) == (6, [sum(ins.cost for ins in m.code[0:6]), 6], [])
 
 
 def test_heap_ops_fused_with_their_link_costs() -> None:
@@ -100,9 +106,11 @@ def test_heap_ops_fused_with_their_link_costs() -> None:
     vm, m = _linked(emit, fields=["x"])
     dm = predecode_method(vm, m)
     (b,) = dm.block_list
-    assert b.count == 4
+    assert (b.start, b.end, b.count) == (0, 4, 4)
     costs = vm.options.cost_model
-    assert b.cost == 2 * costs.heap_access + 2 * costs.simple
+    cost = 2 * costs.heap_access + 2 * costs.simple
+    assert _handback(b) == (4, [cost, 4], [])
+    assert vm.get_static("T", "x") == 1
 
 
 # -------------------------------------------------------- superinstructions
@@ -116,8 +124,7 @@ def test_cmp_branch_and_const_div_superinstructions() -> None:
 
     vm, m = _linked(emit)
     dm = predecode_method(vm, m)
-    assert dm.superinstructions.get("cmp+branch", 0) >= 1
-    assert dm.superinstructions.get("const+div", 0) >= 1
+    assert dm.superinstructions == {"const+div": 1, "cmp+branch": 1}
 
 
 def test_alu_store_superinstruction() -> None:
@@ -128,19 +135,25 @@ def test_alu_store_superinstruction() -> None:
 
     vm, m = _linked(emit)
     dm = predecode_method(vm, m)
-    assert dm.superinstructions.get("alu+store", 0) >= 1
+    assert dm.superinstructions == {"alu+store": 1}
 
 
 def test_div_by_zero_constant_keeps_the_checked_path() -> None:
-    """CONST 0 as divisor must not take the unchecked const+div fast path."""
+    """CONST 0 as divisor must not take the unchecked const+div fast path;
+    the fault hands back the charges up to and including the DIV."""
     def emit(a: Asm) -> None:
         a.const(5).const(0).div().pop()
 
     vm, m = _linked(emit)
     dm = predecode_method(vm, m)
-    assert dm.superinstructions.get("const+div", 0) == 0
+    assert dm.superinstructions == {}
     (b,) = dm.block_list
-    assert b.raising
+    assert (b.start, b.end) == (0, 4)
+    F, A = [None], [None, None]
+    with pytest.raises(GuestRuntimeError):
+        b.fn([], [], F, A, None)
+    assert F == [2]
+    assert A == [sum(ins.cost for ins in m.code[0:3]), 3]
 
 
 # ------------------------------------------------------------ cache lifecycle

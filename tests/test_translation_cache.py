@@ -283,11 +283,11 @@ class TestWarmCacheFidelity:
         assert templates.hits > 0
 
     def test_debugger_seek_with_warm_cache(self, templates):
-        from repro.obs.capture import ObsSpec
-        from repro.obs.debug import DebugSession, _build_vm, record
+        from repro.obs.capture import ObsSpec, build_capture_vm
+        from repro.obs.debug import DebugSession, record
 
         spec = ObsSpec(scenario="medium-inversion")
-        straight, _, _ = _build_vm(spec)
+        straight, _, _ = build_capture_vm(spec)
         straight.begin_run()
         while straight.scheduler.step():
             pass
